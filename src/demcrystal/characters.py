@@ -109,12 +109,9 @@ def f_bosonic(k: int, L: int, b: int, c: int,
             minus = 2 * i <= L + nu - 2 and 2 * j >= L + mu + 1
             if not (plus or minus):
                 continue
-            Q = (
-                Fraction((i - j) * (i - j + 1), 2)
-                - (Fraction(2 * i - L + 1, 2)) * (Fraction(2 * j - L, 2)) * k
-                + Fraction(b, 2) * Fraction(2 * i - L + 1, 2)
-                + Fraction(c, 2) * Fraction(2 * j - L, 2)
-            )
+            # Q = (i-j)(i-j+1)/2 - (A/2)(B/2)k + (b/2)(A/2) + (c/2)(B/2)
+            A, B = 2 * i - L + 1, 2 * j - L
+            Q = Fraction(2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B, 4)
             term = gaussian(L - 1, i) * gaussian(L, j)
             term = term.q_shift(Q)
             sign = (-1) ** (i + j) * (1 if plus else -1)
@@ -158,11 +155,11 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         raise ValueError("requires k >= 1 and L >= 0")
     if not is_weakly_admissible(k, b, c):
         return ZERO
-    base = Fraction(L * L * k - L * (b - c + k) + b, 4)
+    base = L * L * k - L * (b - c + k) + b  # 4 times the constant part of Q
     thr = (c - b + k) // 2
     out = ZERO
     for xs in occupation_vectors(k, L, b):
-        Q = base
+        Q = 0
         for a in range(k + 1):
             if not xs[a]:
                 continue
@@ -170,7 +167,7 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
                 Q -= (a2 - a) * xs[a] * xs[a2]
             if a >= thr:
                 Q += (a - thr) * xs[a]
-        out = out + q_multinomial(L, xs).q_shift(Q)
+        out = out + q_multinomial(L, xs).q_shift(Fraction(base + 4 * Q, 4))
     return out
 
 
@@ -191,7 +188,7 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         inner = f_recursive(k - 1, L - i, b + (k + 1) * i - L, c + (k + 1) * i - L + 1)
         if not inner:
             continue
-        e = Fraction(L * (L - 1), 4) - Fraction((k - 1) * i * i + (2 * L + b + c - 1) * i, 4)
+        e = Fraction(L * (L - 1) - (k - 1) * i * i - (2 * L + b + c - 1) * i, 4)
         out = out + (gaussian(L, i) * inner).q_shift(e)
     return out
 
@@ -308,11 +305,11 @@ def demazure_ch(lam: Weight, sign: str, L: int, f_impl=f_recursive) -> Bivariate
     if sign == "+":
         for i in range(s + 1):
             part = ch_via_f(level_weight(i, k), L - 1, f_impl)
-            out = out + part.q_shift(Fraction((L + e) * (s - i), 2)).z_shift(-e * (s - i))
+            out = out + part.q_shift((L + e) // 2 * (s - i)).z_shift(-e * (s - i))
     else:
         for i in range(t + 1):
             part = ch_via_f(level_weight(k - i, k), L - 1, f_impl)
-            out = out + part.q_shift(Fraction((L - e) * (t - i), 2)).z_shift(e * (t - i))
+            out = out + part.q_shift((L - e) // 2 * (t - i)).z_shift(e * (t - i))
     if not out.has_integer_exponents():
         raise ValueError("Demazure character came out with non-integer exponents")
     return out
@@ -351,9 +348,7 @@ def real_character_check(lam: Weight, L: int) -> bool:
     k = lam.level
     lhs = demazure_ch(lam, "+", L).subs_q_one_z_to_qinv()
     e = epsilon_L(L)
-    rhs = (q_bracket(s + 1) * q_bracket(k + 1) ** (L - 1)).q_shift(
-        -Fraction((L - e) * k, 2)
-    )
+    rhs = (q_bracket(s + 1) * q_bracket(k + 1) ** (L - 1)).q_shift(-((L - e) // 2) * k)
     return lhs == rhs
 
 
@@ -393,7 +388,7 @@ def sanderson_rhs(k: int, L: int) -> BivariatePolynomial:
     """Sum over chains 0 <= i_1 <= ... <= i_k <= L with triangular q-powers."""
     out = ZERO
     for chain in _chains(k, L):
-        e = sum(Fraction(i * (i + 1), 2) for i in chain)
+        e = sum(i * (i + 1) // 2 for i in chain)
         parts = [L - chain[-1]]
         for a in range(k - 1, 0, -1):
             parts.append(chain[a] - chain[a - 1])

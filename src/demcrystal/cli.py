@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
 
@@ -30,15 +29,6 @@ from .weights import (
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_USAGE = 2
-
-
-def _threads() -> int:
-    """Parallelism cap from the environment; evaluation here is serial,
-    which honors any cap trivially."""
-    try:
-        return max(1, int(os.environ.get("DEMAZURE_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _weight(args) -> Weight:
@@ -98,13 +88,11 @@ def cmd_crystal(args, out) -> int:
     if args.word:
         word = parse_weyl_word(args.word)
         verts = demazure_crystal_recursive(lam, word)
-        L = len(word)
+        G = subgraph(generate_crystal(lam, len(word)), verts)
     elif args.L is not None:
-        verts = generate_crystal(lam, args.L).vertices
-        L = args.L
+        G = generate_crystal(lam, args.L)
     else:
         raise SystemExit2("crystal requires --word or -L")
-    G = subgraph(generate_crystal(lam, L), verts)
     if args.format == "table":
         for T in sorted(G.vertices, key=EYDTuple.key):
             wt = T.weight()
@@ -258,7 +246,6 @@ SUITES = {
 def cmd_verify(args, out) -> int:
     if args.suite not in SUITES:
         raise SystemExit2(f"unknown suite {args.suite!r}")
-    _threads()
     ok = SUITES[args.suite](args.max_k, args.max_L, out, args.seed)
     out.write(f"suite {args.suite}: {'PASS' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_FAIL

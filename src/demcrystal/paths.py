@@ -38,8 +38,8 @@ class Path:
                 raise ValueError("path weights must share one level and carry no delta")
         for a, b in zip(self.points, self.points[1:]):
             diff = b - a
-            m = (k - diff.a0) / 2
-            if m != int(m) or not 0 <= m <= k:
+            m, odd = divmod(k - diff.a0, 2)
+            if odd or not 0 <= m <= k:
                 raise ValueError(f"step {diff} is not an allowed letter at level {k}")
 
     @property
@@ -225,5 +225,6 @@ def highest_lift(p: Path, lam: Weight) -> EYDTuple:
             ExtendedYoungDiagram.make(charges[i], [cols[j][i] for j in range(L)])
         )
     T = EYDTuple(tuple(diagrams))
-    assert iota(pi(T, L)) == ms, "lift does not project back onto the path"
+    if iota(pi(T, L)) != ms:
+        raise AssertionError("lift does not project back onto the path")
     return T

@@ -1,22 +1,37 @@
 """Exact Laurent polynomials in z and q over the integers.
 
-q-exponents are rationals with denominator 1, 2 or 4; z-exponents are
-integers.  Coefficients are Python ints, so all arithmetic is exact at
-any size.
+z-exponents are integers and q-exponents lie in (1/4)Z.  Each term
+c * z^a * q^r is stored as ``{(a, 4r): c}`` with both key entries plain
+ints, so sums, products, shifts and division never touch a rational.
+Rational q-exponents are accepted only at the public boundary (``term``,
+``qpow``, ``q_shift``, ``coefficient``, ``__init__``, ``from_json_obj``),
+where ``_quarters`` converts them and raises ValueError for any
+denominator that does not divide 4.  ``to_text`` and ``to_json_obj``
+print quarters back as reduced fractions.  Coefficients are Python ints,
+so all arithmetic is exact at any size.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
+from operator import index
 
-_ALLOWED_DENOMS = (1, 2, 4)
 
-
-def _qexp(value) -> Fraction:
+def _quarters(value) -> int:
+    """4 * value as an int; the single check on q-exponents entering the ring."""
+    if type(value) is int:
+        return 4 * value
     f = Fraction(value)
-    if f.denominator not in _ALLOWED_DENOMS:
+    if 4 % f.denominator:
         raise ValueError(f"q-exponent {f} does not have denominator 1, 2 or 4")
-    return f
+    return f.numerator * (4 // f.denominator)
+
+
+def _reduced(q4: int) -> tuple[int, int]:
+    """A quarter count as the reduced fraction (numerator, denominator)."""
+    g = gcd(q4, 4)
+    return q4 // g, 4 // g
 
 
 class BivariatePolynomial:
@@ -29,19 +44,22 @@ class BivariatePolynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms=None):
-        clean: dict[tuple[int, Fraction], int] = {}
+        out: dict[tuple[int, int], int] = {}
         if terms:
             for (ze, qe), c in terms.items():
-                if c == 0:
-                    continue
-                key = (int(ze), _qexp(qe))
-                c = clean.get(key, 0) + c
-                if c:
-                    clean[key] = c
-                else:
-                    del clean[key]
-        self._terms = clean
+                key = (int(ze), _quarters(qe))
+                out[key] = out.get(key, 0) + c
+        self._terms = {key: c for key, c in out.items() if c}
         self._hash = None
+
+    @classmethod
+    def _from_quarters(cls, terms: dict) -> "BivariatePolynomial":
+        """Trusted constructor: keys are already (z-exponent, 4 * q-exponent)
+        int pairs.  Drops zero coefficients and skips all other checks."""
+        res = cls.__new__(cls)
+        res._terms = {key: c for key, c in terms.items() if c}
+        res._hash = None
+        return res
 
     # -- construction helpers -------------------------------------------------
 
@@ -51,11 +69,11 @@ class BivariatePolynomial:
 
     @classmethod
     def one(cls) -> "BivariatePolynomial":
-        return cls({(0, Fraction(0)): 1})
+        return cls._from_quarters({(0, 0): 1})
 
     @classmethod
     def term(cls, coeff: int, ze: int = 0, qe=0) -> "BivariatePolynomial":
-        return cls({(ze, Fraction(qe)): coeff})
+        return cls._from_quarters({(int(ze), _quarters(qe)): coeff})
 
     # -- basic protocol --------------------------------------------------------
 
@@ -88,23 +106,13 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         out = dict(self._terms)
         for key, c in other._terms.items():
-            c = out.get(key, 0) + c
-            if c:
-                out[key] = c
-            else:
-                del out[key]
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res._terms = out
-        res._hash = None
-        return res
+            out[key] = out.get(key, 0) + c
+        return BivariatePolynomial._from_quarters(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePolynomial":
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res._terms = {k: -c for k, c in self._terms.items()}
-        res._hash = None
-        return res
+        return BivariatePolynomial._from_quarters({k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
@@ -117,19 +125,12 @@ class BivariatePolynomial:
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
             other = BivariatePolynomial.term(other)
-        out: dict[tuple[int, Fraction], int] = {}
+        out: dict[tuple[int, int], int] = {}
         for (z1, q1), c1 in self._terms.items():
             for (z2, q2), c2 in other._terms.items():
                 key = (z1 + z2, q1 + q2)
-                c = out.get(key, 0) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        res = BivariatePolynomial.__new__(BivariatePolynomial)
-        res._terms = out
-        res._hash = None
-        return res
+                out[key] = out.get(key, 0) + c1 * c2
+        return BivariatePolynomial._from_quarters(out)
 
     __rmul__ = __mul__
 
@@ -148,13 +149,13 @@ class BivariatePolynomial:
     # -- queries and transforms ---------------------------------------------------
 
     def coefficient(self, ze: int = 0, qe=0) -> int:
-        return self._terms.get((ze, _qexp(qe)), 0)
+        return self._terms.get((ze, _quarters(qe)), 0)
 
     def is_z_free(self) -> bool:
         return all(ze == 0 for ze, _ in self._terms)
 
     def has_integer_exponents(self) -> bool:
-        return all(qe.denominator == 1 for _, qe in self._terms)
+        return all(q4 % 4 == 0 for _, q4 in self._terms)
 
     def value_at_one(self) -> int:
         """Value at z = q = 1 (sum of coefficients)."""
@@ -162,40 +163,37 @@ class BivariatePolynomial:
 
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
-        e = _qexp(qe)
-        return BivariatePolynomial({(z, q + e): c for (z, q), c in self._terms.items()})
+        e = _quarters(qe)
+        return BivariatePolynomial._from_quarters(
+            {(z, q4 + e): c for (z, q4), c in self._terms.items()}
+        )
 
     def z_shift(self, ze: int) -> "BivariatePolynomial":
         """Multiply by z^ze."""
-        return BivariatePolynomial({(z + ze, q): c for (z, q), c in self._terms.items()})
+        return BivariatePolynomial._from_quarters(
+            {(z + ze, q4): c for (z, q4), c in self._terms.items()}
+        )
 
-    def scale_q_exponents(self, factor) -> "BivariatePolynomial":
-        f = Fraction(factor)
-        return BivariatePolynomial({(z, q * f): c for (z, q), c in self._terms.items()})
+    def _substitute(self, new_key) -> "BivariatePolynomial":
+        """Move each term to new_key(z, q4), summing terms that collide."""
+        out: dict[tuple[int, int], int] = {}
+        for (z, q4), c in self._terms.items():
+            key = new_key(z, q4)
+            out[key] = out.get(key, 0) + c
+        return BivariatePolynomial._from_quarters(out)
+
+    def scale_q_exponents(self, factor: int) -> "BivariatePolynomial":
+        """Substitute q = q^factor for an integer factor."""
+        factor = index(factor)
+        return self._substitute(lambda z, q4: (z, q4 * factor))
 
     def subs_q_one_z_to_qinv(self) -> "BivariatePolynomial":
         """Substitute q = 1 first and then z = q^{-1} (fresh variable q)."""
-        out: dict[tuple[int, Fraction], int] = {}
-        for (z, _), c in self._terms.items():
-            key = (0, Fraction(-z))
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                del out[key]
-        return BivariatePolynomial(out)
+        return self._substitute(lambda z, q4: (0, -4 * z))
 
     def subs_z_to_q_q_to_q2(self) -> "BivariatePolynomial":
         """Substitute z = q, q = q^2 simultaneously."""
-        out: dict[tuple[int, Fraction], int] = {}
-        for (z, q), c in self._terms.items():
-            key = (0, z + 2 * q)
-            c2 = out.get(key, 0) + c
-            if c2:
-                out[key] = c2
-            else:
-                del out[key]
-        return BivariatePolynomial(out)
+        return self._substitute(lambda z, q4: (0, 4 * z + 2 * q4))
 
     # -- exact division ----------------------------------------------------------
 
@@ -212,13 +210,13 @@ class BivariatePolynomial:
         if not self:
             return BivariatePolynomial.zero()
 
-        div = {q: c for (_, q), c in divisor._terms.items()}
+        div = {q4: c for (_, q4), c in divisor._terms.items()}
         d_lo = min(div)
         d_hi = max(div)
         c_lo = div[d_lo]
-        rem = {q: c for (_, q), c in self._terms.items()}
+        rem = {q4: c for (_, q4), c in self._terms.items()}
         hi_bound = max(rem) - d_hi
-        quot: dict[tuple[int, Fraction], int] = {}
+        quot: dict[tuple[int, int], int] = {}
         while rem:
             e = min(rem)
             c, r = divmod(rem[e], c_lo)
@@ -226,14 +224,14 @@ class BivariatePolynomial:
                 raise ValueError("inexact polynomial division")
             shift = e - d_lo
             quot[(0, shift)] = c
-            for q, dc in div.items():
-                key = q + shift
+            for q4, dc in div.items():
+                key = q4 + shift
                 nc = rem.get(key, 0) - c * dc
                 if nc:
                     rem[key] = nc
                 else:
                     rem.pop(key, None)
-        return BivariatePolynomial(quot)
+        return BivariatePolynomial._from_quarters(quot)
 
     # -- serialization -------------------------------------------------------------
 
@@ -245,15 +243,16 @@ class BivariatePolynomial:
         if not self._terms:
             return "0"
         parts = []
-        for (ze, qe), c in self.sorted_terms():
+        for (ze, q4), c in self.sorted_terms():
             factors = []
             if ze:
                 factors.append("z" if ze == 1 else f"z^{ze}")
-            if qe:
-                if qe.denominator == 1:
-                    factors.append("q" if qe == 1 else f"q^{qe}")
+            if q4:
+                num, den = _reduced(q4)
+                if den == 1:
+                    factors.append("q" if num == 1 else f"q^{num}")
                 else:
-                    factors.append(f"q^({qe.numerator}/{qe.denominator})")
+                    factors.append(f"q^({num}/{den})")
             mag = abs(c)
             if factors:
                 body = "*".join(factors)
@@ -269,13 +268,13 @@ class BivariatePolynomial:
 
     def to_json_obj(self) -> list:
         return [
-            {"ze": ze, "qe": f"{qe.numerator}/{qe.denominator}", "c": str(c)}
-            for (ze, qe), c in self.sorted_terms()
+            {"ze": ze, "qe": "%d/%d" % _reduced(q4), "c": str(c)}
+            for (ze, q4), c in self.sorted_terms()
         ]
 
     @classmethod
     def from_json_obj(cls, obj) -> "BivariatePolynomial":
-        return cls({(int(t["ze"]), Fraction(t["qe"])): int(t["c"]) for t in obj})
+        return cls({(int(t["ze"]), t["qe"]): int(t["c"]) for t in obj})
 
 
 ZERO = BivariatePolynomial.zero()
@@ -359,7 +358,7 @@ def verify_gaussian_lemma(M: int, N: int, n: int) -> bool:
         rhs = ZERO
         for i in range(M + 1):
             rhs = rhs + BivariatePolynomial.term(
-                (-1) ** i, ze=i, qe=Fraction(i * (i - 1), 2)
+                (-1) ** i, ze=i, qe=i * (i - 1) // 2
             ) * gaussian(M, i)
         ok = lhs == rhs
     if M < 0 and N < 0:

@@ -7,7 +7,6 @@ geometric-sum closed form, which keeps everything denominator-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qlaurent import BivariatePolynomial
 
@@ -148,37 +147,6 @@ class FormalCharacter:
     def __eq__(self, other):
         return isinstance(other, FormalCharacter) and self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: "FormalCharacter") -> "FormalCharacter":
-        out = dict(self._terms)
-        for mu, c in other._terms.items():
-            c = out.get(mu, 0) + c
-            if c:
-                out[mu] = c
-            else:
-                del out[mu]
-        return FormalCharacter(out)
-
-    def __neg__(self):
-        return FormalCharacter({mu: -c for mu, c in self._terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other: "FormalCharacter") -> "FormalCharacter":
-        out: dict[Weight, int] = {}
-        for mu, c1 in self._terms.items():
-            for nu, c2 in other._terms.items():
-                key = mu + nu
-                c = out.get(key, 0) + c1 * c2
-                if c:
-                    out[key] = c
-                else:
-                    del out[key]
-        return FormalCharacter(out)
-
     def coefficient(self, mu: Weight) -> int:
         return self._terms.get(mu, 0)
 
@@ -246,17 +214,12 @@ def specialize(chi: FormalCharacter, lam: Weight) -> BivariatePolynomial:
     after dividing by e^Lambda.  Rejects terms outside the affine line
     Lambda + Z alpha_1 + Z delta.
     """
-    out: dict[tuple[int, Fraction], int] = {}
+    out: dict[tuple[int, int], int] = {}
     for mu, c in chi.terms.items():
         x = mu - lam
         if x.a0 != -x.a1 or x.a1 % 2 != 0:
             raise ValueError(f"term e^{mu} is not of the form Lambda + j*alpha1 - n*delta")
-        j = x.a1 // 2
-        n = -x.d
-        key = (-j, Fraction(n))
-        v = out.get(key, 0) + c
-        if v:
-            out[key] = v
-        else:
-            del out[key]
-    return BivariatePolynomial(out)
+        # key (-j, 4n): q-exponents in quarter units; distinct weights give
+        # distinct keys, so nothing needs summing
+        out[(-(x.a1 // 2), -4 * x.d)] = c
+    return BivariatePolynomial._from_quarters(out)

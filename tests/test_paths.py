@@ -1,8 +1,10 @@
 import pytest
 
+from demcrystal import paths
 from demcrystal.demazure import generate_crystal
 from demcrystal.eyd import EYDTuple
 from demcrystal.paths import (
+    Path,
     energy,
     enumerate_paths,
     epsilon_L,
@@ -107,3 +109,21 @@ def test_invalid_path_rejected():
     lam = Weight(1, 0, 0)
     p = ground_state_path(lam, 2)
     assert not in_path_set(p, lam, 1)
+
+
+def test_step_letters_must_be_integral():
+    a = Weight(1, 0, 0)
+    with pytest.raises(ValueError):
+        Path((a, a))  # step 0 would need letter m = 1/2
+    with pytest.raises(ValueError):
+        Path((a, Weight(3, -2, 0)))  # m = -1 is out of range
+
+
+def test_highest_lift_checks_round_trip(monkeypatch):
+    lam = Weight(1, 1, 0)
+    p = from_letters(lam, 3, (0, 0, 0))
+    wrong = ground_state_path(lam, 3)
+    assert iota(wrong) != iota(p)
+    monkeypatch.setattr(paths, "pi", lambda T, L=None: wrong)
+    with pytest.raises(AssertionError, match="does not project back"):
+        highest_lift(p, lam)

@@ -48,8 +48,15 @@ def test_term_canonicalization():
 
 
 def test_quarter_exponents_only():
-    with pytest.raises(ValueError):
-        BivariatePolynomial.term(1, qe=Fraction(1, 3))
+    for bad in (Fraction(1, 3), Fraction(1, 8)):
+        with pytest.raises(ValueError):
+            BivariatePolynomial.term(1, qe=bad)
+        with pytest.raises(ValueError):
+            ONE.q_shift(bad)
+        with pytest.raises(ValueError):
+            ONE.coefficient(qe=bad)
+        with pytest.raises(ValueError):
+            BivariatePolynomial.from_json_obj([{"ze": 0, "qe": str(bad), "c": "1"}])
 
 
 def test_to_text_ordering():
@@ -61,6 +68,42 @@ def test_to_text_ordering():
 
 def test_text_fractional_powers():
     assert qpow(Fraction(1, 2)).to_text() == "q^(1/2)"
+
+
+def _mixed_quarters():
+    return (
+        2 * zpow(-1) * qpow(Fraction(-3, 4))
+        - qpow(Fraction(-1, 2))
+        + zpow(2) * qpow(Fraction(1, 4))
+        - 3 * zpow(1) * qpow(Fraction(5, 4))
+        + zpow(-3) * qpow(2)
+        + ONE
+        + zpow(1) * qpow(Fraction(1, 4))
+    )
+
+
+def test_text_mixed_quarter_powers():
+    assert _mixed_quarters().to_text() == (
+        "2*z^-1*q^(-3/4) - q^(-1/2) + 1 + z*q^(1/4) + z^2*q^(1/4)"
+        " - 3*z*q^(5/4) + z^-3*q^2"
+    )
+
+
+def test_json_mixed_quarter_powers():
+    p = _mixed_quarters()
+    obj = p.to_json_obj()
+    assert obj == [
+        {"ze": -1, "qe": "-3/4", "c": "2"},
+        {"ze": 0, "qe": "-1/2", "c": "-1"},
+        {"ze": 0, "qe": "0/1", "c": "1"},
+        {"ze": 1, "qe": "1/4", "c": "1"},
+        {"ze": 2, "qe": "1/4", "c": "1"},
+        {"ze": 1, "qe": "5/4", "c": "-3"},
+        {"ze": -3, "qe": "2/1", "c": "1"},
+    ]
+    assert BivariatePolynomial.from_json_obj(obj) == p
+    assert p.coefficient(1, Fraction(5, 4)) == -3
+    assert p.coefficient(-3, 2) == 1
 
 
 def test_json_roundtrip():
