@@ -206,6 +206,8 @@ def ch_path_bruteforce(lam: Weight, L: int) -> BivariatePolynomial:
 def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
     """Path character through the configuration sum; exponents must close
     to integers, anything else raises."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     s, t = lam.a0, lam.a1
     k = s + t
     eL, eL1 = epsilon_L(L), epsilon_L(L + 1)

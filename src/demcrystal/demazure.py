@@ -24,6 +24,8 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
     """B_L(Lambda): closure of the vacuum under box-adding, widths <= L."""
     if not lam.is_dominant() or lam.level < 1:
         raise ValueError("crystal generation requires a dominant weight of level >= 1")
+    if L < 0:
+        raise ValueError("crystal generation requires L >= 0")
     root = EYDTuple.vacuum(lam.a0, lam.a1)
     seen = {root.key(): root}
     frontier = [root]

@@ -78,11 +78,15 @@ def is_reduced(word) -> bool:
 
 def weyl_word_plus(L: int):
     """w^+_L: the length-L alternating word ending in r_0."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     return tuple((L - 1 - j) % 2 for j in range(L))
 
 
 def weyl_word_minus(L: int):
     """w^-_L: the length-L alternating word ending in r_1."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     return tuple((L - j) % 2 for j in range(L))
 
 
@@ -91,8 +95,6 @@ def parse_weyl_word(text: str):
     text = text.strip()
     if text.startswith("w+") or text.startswith("w-"):
         L = int(text[2:])
-        if L < 0:
-            raise ValueError("word length must be nonnegative")
         return weyl_word_plus(L) if text[1] == "+" else weyl_word_minus(L)
     if not text:
         return ()

@@ -2,31 +2,22 @@
 terminal summary and fails the corresponding test on any inexact match.
 """
 import random
+from collections import Counter
+from itertools import chain
 
+from conftest import ACCEPTANCE_LINES
+from demcrystal import verify
 from demcrystal.characters import (
     F_fermionic,
     ch_path_bruteforce,
     ch_via_f,
     demazure_ch,
-    demazure_ch_bruteforce,
-    demazure_ch_oracle,
-    f_bosonic,
-    f_fermionic,
     f_recursive,
-    principal_character_check,
-    real_character_check,
-    sanderson_identity_check,
 )
-from demcrystal.demazure import (
-    demazure_crystal_direct,
-    demazure_crystal_recursive,
-    generate_crystal,
-)
+from demcrystal.demazure import generate_crystal
 from demcrystal.eyd import EYDTuple, e_tilde, f_tilde
-from demcrystal.paths import ground_state_H_sum, ground_state_H_sum_direct
 from demcrystal.qlaurent import ZERO
-from conftest import ACCEPTANCE_LINES
-from demcrystal.weights import ALPHA, Weight, weyl_word_minus, weyl_word_plus
+from demcrystal.weights import ALPHA, Weight
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -38,57 +29,36 @@ def report(name: str, ok: bool, detail: str = ""):
     assert ok, line
 
 
-def weights_with_level_up_to(kmax):
-    return [
-        Weight(s, t, 0)
-        for s in range(0, kmax + 1)
-        for t in range(0, kmax + 1 - s)
-        if s + t >= 1
-    ]
+def run_engine(expected_cases: dict, *suites):
+    """(ok, first-bad detail) over engine records; the grid points, counted
+    per label prefix, must be exactly expected_cases, so a shrunken or empty
+    grid fails."""
+    ok, first_bad, cases = True, "", Counter()
+    for check in chain(*suites):
+        cases[check.label.split()[0]] += check.cases
+        if not check.ok:
+            ok = False
+            first_bad = first_bad or (check.failures[0] if check.failures else check.label)
+    if cases != expected_cases:
+        ok = False
+        first_bad = first_bad or f"grid {dict(cases)}, expected {expected_cases}"
+    return ok, first_bad
 
 
 def test_a1_boson_fermion_recursion():
-    first_bad = ""
-    ok = True
-    for k in range(1, 5):
-        for L in range(1, 9):
-            for b in range(-L * k, L * k + 1):
-                for c in range(b - k, b + k + 1, 2):
-                    if abs(c) > (L + 1) * k:
-                        continue
-                    fr = f_recursive(k, L, b, c)
-                    if f_bosonic(k, L, b, c) != fr or f_fermionic(k, L, b, c) != fr:
-                        ok = False
-                        first_bad = first_bad or f"k={k} L={L} b={b} c={c}"
+    ok, first_bad = run_engine({"boson-fermion": 2992}, verify.boson_fermion(4, 8))
     report("A1 boson = fermion = recursion (k<=4, L<=8)", ok, first_bad)
 
 
 def test_a2_crystal_characterization():
-    first_bad = ""
-    ok = True
-    for lam in weights_with_level_up_to(3):
-        for L in range(1, 6):
-            rp = demazure_crystal_recursive(lam, weyl_word_plus(L))
-            rm = demazure_crystal_recursive(lam, weyl_word_minus(L))
-            dp = demazure_crystal_direct(lam, "+", L)
-            dm = demazure_crystal_direct(lam, "-", L)
-            full = generate_crystal(lam, L).vertices
-            prev = generate_crystal(lam, L - 1).vertices
-            good = rp == dp and rm == dm and dp | dm == full and dp & dm == prev
-            if lam.a1 == 0:
-                good = good and dp == full
-            if lam.a0 == 0:
-                good = good and dm == full
-            if not good:
-                ok = False
-                first_bad = first_bad or f"s={lam.a0} t={lam.a1} L={L}"
+    ok, first_bad = run_engine({"demazure-crystal": 45}, verify.demazure_crystal(3, 5))
     report("A2 crystal characterization (s+t<=3, L<=5)", ok, first_bad)
 
 
 def test_a3_path_character():
     first_bad = ""
     ok = True
-    for lam in weights_with_level_up_to(3):
+    for lam in verify.weights_up_to(3):
         k = lam.level
         for L in range(1, 7):
             bf = ch_path_bruteforce(lam, L)
@@ -105,17 +75,7 @@ def test_a3_path_character():
 
 
 def test_a4_demazure_character_triangle():
-    first_bad = ""
-    ok = True
-    for lam in weights_with_level_up_to(3):
-        for L in range(1, 6):
-            for sign in ("+", "-"):
-                a = demazure_ch(lam, sign, L)
-                b = demazure_ch_bruteforce(lam, sign, L)
-                c = demazure_ch_oracle(lam, sign, L)
-                if not (a == b == c):
-                    ok = False
-                    first_bad = first_bad or f"s={lam.a0} t={lam.a1} {sign} L={L}"
+    ok, first_bad = run_engine({"demazure-character": 90}, verify.demazure_character(3, 5))
     # worked anchor: Lambda = 2 Lambda_0, L = 2 has 9 terms of total value 9
     chi = demazure_ch(Weight(2, 0, 0), "+", 2)
     if len(chi.terms) != 9 or chi.value_at_one() != 9:
@@ -125,41 +85,19 @@ def test_a4_demazure_character_triangle():
 
 
 def test_a5_specializations():
-    first_bad = ""
-    ok = True
-    for lam in weights_with_level_up_to(3):
-        for L in range(1, 7):
-            if not real_character_check(lam, L):
-                ok = False
-                first_bad = first_bad or f"real s={lam.a0} t={lam.a1} L={L}"
-    for k in range(1, 4):
-        for L in range(1, 7):
-            if not principal_character_check(k, L):
-                ok = False
-                first_bad = first_bad or f"principal k={k} L={L}"
-    for k in range(1, 3):
-        for L in range(0, 9):
-            if not sanderson_identity_check(k, L):
-                ok = False
-                first_bad = first_bad or f"sanderson k={k} L={L}"
+    ok, first_bad = run_engine(
+        {"real": 54, "principal": 18, "sanderson": 18},
+        verify.specializations(3, 6),
+        verify.sanderson(2, 8),
+    )
     report("A5 specializations (real, principal, Sanderson)", ok, first_bad)
 
 
 def test_a6_structural_invariants():
-    first_bad = ""
-    ok = True
     # ground-state energy closed form
-    for s in range(0, 5):
-        for t in range(0, 5 - s):
-            if s + t < 1:
-                continue
-            lam = Weight(s, t, 0)
-            for L in range(0, 13):
-                if ground_state_H_sum(lam, L) != ground_state_H_sum_direct(lam, L):
-                    ok = False
-                    first_bad = first_bad or f"gse s={s} t={t} L={L}"
+    ok, first_bad = run_engine({"lemmas": 182}, verify.gse(4, 12))
     # width properties over the A2 crystal range
-    for lam in weights_with_level_up_to(3):
+    for lam in verify.weights_up_to(3):
         s = lam.a0
         for T in generate_crystal(lam, 5).vertices:
             w = T.widths()

@@ -141,6 +141,8 @@ def test_path_character_routes(L):
         assert ch_via_f(lam, L, f_recursive) == bf
         assert ch_via_f(lam, L, f_bosonic) == bf
         assert ch_via_f(lam, L, f_fermionic) == bf
+        with pytest.raises(ValueError):
+            ch_via_f(lam, -L)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3])

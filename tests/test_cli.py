@@ -1,6 +1,20 @@
 import json
+from pathlib import Path
 
+import pytest
+
+from demcrystal import characters
 from demcrystal.cli import main
+from demcrystal.qlaurent import ZERO
+
+SUITES = (
+    "boson-fermion",
+    "demazure-crystal",
+    "demazure-character",
+    "specializations",
+    "sanderson",
+    "lemmas",
+)
 
 
 def run(argv, capsys):
@@ -100,4 +114,73 @@ def test_usage_errors(capsys):
     assert main(["oracle", "--s", "1", "--t", "0"]) == 2
     assert main(["crystal", "--s", "1", "--t", "0", "--word", "garbage"]) == 2
     assert main(["bogus"]) == 2
+    # flags that used to be accepted and ignored
+    assert main(["character", "--s", "1", "--t", "0", "-L", "1", "--format", "dot"]) == 2
+    assert main(["oracle", "--s", "1", "--t", "0", "--word", "r0", "--format", "dot"]) == 2
+    assert main(["character", "--s", "1", "--t", "0", "-L", "2", "--word", "r0r1"]) == 2
+    assert main(["crystal", "--s", "1", "--t", "0", "-L", "5", "--word", "r0"]) == 2
     capsys.readouterr()
+
+
+def assert_usage_error(argv, capsys):
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["character", "--s", "1", "--t", "1", "-L", "-1", "--route", route]
+     for route in ("path", "recursive", "bosonic", "fermionic", "demazure+", "demazure-",
+                   "oracle")]
+    + [["crystal", "--s", "1", "--t", "0", "-L", "-1"],
+       ["crystal", "--s", "1", "--t", "0", "--word", "w+-1"]],
+)
+def test_negative_length_rejected(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["character", "--s", "1", "--t", "0", "-L", "1"],
+     ["oracle", "--s", "1", "--t", "0", "--word", "r0"]],
+)
+def test_unwritable_out(argv, tmp_path, capsys):
+    assert_usage_error(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--suite", "boson-fermion", "--max-k", "0"],
+     ["--suite", "demazure-crystal", "--max-k", "-1"],
+     ["--suite", "specializations", "--max-k", "2", "--max-L", "0"],
+     ["--suite", "lemmas", "--max-k", "0"],
+     ["--suite", "sanderson", "--max-L", "-3"]],
+)
+def test_verify_empty_grid_rejected(argv, capsys):
+    assert_usage_error(["verify"] + argv, capsys)
+
+
+def test_verify_golden(capsys):
+    """Output of every suite at --max-k 2 --max-L 3, as first recorded."""
+    got = ""
+    for suite in SUITES:
+        code, out = run(["verify", "--suite", suite, "--max-k", "2", "--max-L", "3"], capsys)
+        assert code == 0
+        got += out
+    golden = Path(__file__).parent / "data" / "verify_max_k2_max_L3.txt"
+    assert got == golden.read_text()
+
+
+def test_verify_failure_path(monkeypatch, capsys):
+    monkeypatch.setattr(characters, "f_bosonic", lambda *args: ZERO)
+    code, out = run(["verify", "--suite", "boson-fermion", "--max-k", "1", "--max-L", "1"],
+                    capsys)
+    assert code == 1
+    assert out == (
+        "FAIL k=1 L=1 b=-1 c=-2\n"
+        "boson-fermion k=1 L=1: FAIL\n"
+        "suite boson-fermion: FAIL\n"
+    )

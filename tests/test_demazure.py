@@ -31,6 +31,9 @@ def test_generate_crystal_anchor():
     lam = Weight(2, 0, 0)
     G = generate_crystal(lam, 1)
     assert len(G.vertices) == 3
+    assert len(generate_crystal(lam, 0).vertices) == 1
+    with pytest.raises(ValueError):
+        generate_crystal(lam, -1)
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 4])

@@ -59,6 +59,10 @@ def test_weyl_words():
     assert weyl_word_minus(2) == (0, 1)
     assert is_reduced(weyl_word_plus(5))
     assert not is_reduced((0, 0))
+    assert weyl_word_plus(0) == weyl_word_minus(0) == ()
+    for word in (weyl_word_plus, weyl_word_minus):
+        with pytest.raises(ValueError):
+            word(-1)
 
 
 def test_parse_weyl_word():
