@@ -8,6 +8,7 @@ brute-force path sums and the Demazure-operator oracle.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -197,10 +198,9 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
 
 def ch_path_bruteforce(lam: Weight, L: int) -> BivariatePolynomial:
     """Sum of z^{-j} q^{E(p)} over all of P_L(Lambda)."""
-    out = ZERO
-    for p in enumerate_paths(lam, L):
-        out = out + BivariatePolynomial.term(1, ze=-z_exponent(p, lam), qe=energy(p, lam))
-    return out
+    return BivariatePolynomial(
+        Counter((-z_exponent(p, lam), energy(p, lam)) for p in enumerate_paths(lam, L))
+    )
 
 
 def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
@@ -319,11 +319,8 @@ def demazure_ch(lam: Weight, sign: str, L: int, f_impl=f_recursive) -> Bivariate
 
 def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """Sum of z^{-j} q^{E} over the Demazure crystal via the path realization."""
-    out = ZERO
-    for T in demazure_crystal_direct(lam, sign, L):
-        p = pi(T, L)
-        out = out + BivariatePolynomial.term(1, ze=-z_exponent(p, lam), qe=energy(p, lam))
-    return out
+    paths = (pi(T, L) for T in demazure_crystal_direct(lam, sign, L))
+    return BivariatePolynomial(Counter((-z_exponent(p, lam), energy(p, lam)) for p in paths))
 
 
 def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:

@@ -29,7 +29,16 @@ def _weight(args) -> Weight:
 
 
 class SystemExit2(Exception):
-    pass
+    """Invalid input: ``main`` prints it on one line and exits 2.  Any other
+    exception is a fault of the program and propagates."""
+
+
+def _word(text: str):
+    """The reduced Weyl word ``text`` names; anything else is a usage error."""
+    try:
+        return parse_weyl_word(text)
+    except ValueError as e:
+        raise SystemExit2(str(e)) from None
 
 
 def _write_character(poly, fmt: str, out) -> int:
@@ -48,13 +57,18 @@ ROUTES = {
     "demazure-": lambda lam, L, word: ch.demazure_ch(lam, "-", L),
     "oracle": lambda lam, L, word: specialize(demazure_character_oracle(lam, word), lam),
 }
+# the bosonic double sum and the Demazure formulas start at L = 1
+STARTS_AT_L1 = ("bosonic", "demazure+", "demazure-")
 
 
 def cmd_character(args, out) -> int:
     lam = _weight(args)
     if args.L is None:
         raise SystemExit2("character requires -L")
-    # the oracle route evaluates w^+_L; building it rejects L < 0 for every route
+    least = 1 if args.route in STARTS_AT_L1 else 0
+    if args.L < least:
+        raise SystemExit2(f"route {args.route} requires L >= {least}")
+    # the oracle route evaluates w^+_L
     poly = ROUTES[args.route](lam, args.L, weyl_word_plus(args.L))
     return _write_character(poly, args.format, out)
 
@@ -63,17 +77,19 @@ def cmd_oracle(args, out) -> int:
     lam = _weight(args)
     if not args.word:
         raise SystemExit2("oracle requires --word")
-    word = parse_weyl_word(args.word)
+    word = _word(args.word)
     return _write_character(ROUTES["oracle"](lam, len(word), word), args.format, out)
 
 
 def cmd_crystal(args, out) -> int:
     lam = _weight(args)
     if args.word:
-        word = parse_weyl_word(args.word)
+        word = _word(args.word)
         verts = demazure_crystal_recursive(lam, word)
         G = subgraph(generate_crystal(lam, len(word)), verts)
     elif args.L is not None:
+        if args.L < 0:
+            raise SystemExit2("crystal requires L >= 0")
         G = generate_crystal(lam, args.L)
     else:
         raise SystemExit2("crystal requires --word or -L")
@@ -158,7 +174,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return handlers[args.command](args, sink)
-    except (SystemExit2, ValueError, KeyError) as e:
+    except SystemExit2 as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     finally:

@@ -138,16 +138,16 @@ class EYDTuple:
         charges = [Y.charge for Y in self.diagrams]
         if charges != sorted(charges):
             raise ValueError("diagram charges must be sorted (all 0s before all 1s)")
-        k = len(self.diagrams)
-        if k == 0:
+        if not self.diagrams:
             raise ValueError("tuple must contain at least one diagram")
-        maxw = max(Y.width for Y in self.diagrams)
-        for j in range(maxw + 1):
-            col = [Y.y(j) for Y in self.diagrams]
-            for i in range(k - 1):
-                if col[i] > col[i + 1]:
+        # every diagram padded with its charge to one common width plus one
+        maxw = max(len(Y.columns) for Y in self.diagrams)
+        rows = [Y.columns + (Y.charge,) * (maxw + 1 - len(Y.columns)) for Y in self.diagrams]
+        for col in zip(*rows):
+            for a, b in zip(col, col[1:]):
+                if a > b:
                     raise ValueError("inclusion rule violated between consecutive diagrams")
-            if col[k - 1] > col[0] + 2:
+            if col[-1] > col[0] + 2:
                 raise ValueError("inclusion rule violated against the shifted first diagram")
 
     @classmethod
@@ -234,35 +234,63 @@ def reduce_signature(bits) -> list[int]:
     return relevant
 
 
+def _unmatched(T: EYDTuple, i: int):
+    """The reduced i-signature in one pass over each diagram's columns.
+
+    Emits plain ``(-diagonal, position, bit, column)`` tuples, so sorting
+    reproduces the (d, j) order of ``i_signature``: diagonals are distinct
+    within one diagram.  Column j (up to the width, where the charge sits)
+    has a concave corner on diagonal j + y_j when j = 0 or y_{j-1} < y_j,
+    and the same condition gives the convex corner of column j - 1 on
+    diagonal j + y_{j-1}; the color is the diagonal's parity.  Returns the
+    unmatched convex entries and the unmatched concave entries, each in
+    signature order.
+    """
+    entries = []
+    for pos, Y in enumerate(T.diagrams):
+        prev = None
+        for j, y in enumerate(Y.columns + (Y.charge,)):
+            if prev is None or prev < y:
+                if (j + y) % 2 == i:
+                    entries.append((-j - y, pos, 0, j))
+                if prev is not None and (j + prev) % 2 == i:
+                    entries.append((-j - prev, pos, 1, j - 1))
+            prev = y
+    entries.sort()
+    ones, zeros = [], []
+    for e in entries:
+        if e[2] == 0:
+            zeros.append(e)
+        elif zeros:
+            zeros.pop()
+        else:
+            ones.append(e)
+    return ones, zeros
+
+
 def f_tilde(i: int, T: EYDTuple):
     """Add one i-colored box at the leftmost relevant concave corner, or None."""
-    sig = i_signature(T, i)
-    for idx in reduce_signature([e.bit for e in sig]):
-        if sig[idx].bit == 0:
-            e = sig[idx]
-            return T.replace(e.diagram - 1, T.diagrams[e.diagram - 1].add_box(e.column))
-    return None
+    zeros = _unmatched(T, i)[1]
+    if not zeros:
+        return None
+    _, pos, _, column = zeros[0]
+    return T.replace(pos, T.diagrams[pos].add_box(column))
 
 
 def e_tilde(i: int, T: EYDTuple):
     """Remove one i-colored box at the rightmost relevant convex corner, or None."""
-    sig = i_signature(T, i)
-    for idx in reversed(reduce_signature([e.bit for e in sig])):
-        if sig[idx].bit == 1:
-            e = sig[idx]
-            return T.replace(e.diagram - 1, T.diagrams[e.diagram - 1].remove_box(e.column))
-    return None
+    ones = _unmatched(T, i)[0]
+    if not ones:
+        return None
+    _, pos, _, column = ones[-1]
+    return T.replace(pos, T.diagrams[pos].remove_box(column))
 
 
 def epsilon_i(T: EYDTuple, i: int) -> int:
     """Number of times e-tilde_i applies before annihilating."""
-    sig = i_signature(T, i)
-    rel = reduce_signature([e.bit for e in sig])
-    return sum(1 for idx in rel if sig[idx].bit == 1)
+    return len(_unmatched(T, i)[0])
 
 
 def phi_i(T: EYDTuple, i: int) -> int:
     """Number of times f-tilde_i applies before annihilating."""
-    sig = i_signature(T, i)
-    rel = reduce_signature([e.bit for e in sig])
-    return sum(1 for idx in rel if sig[idx].bit == 0)
+    return len(_unmatched(T, i)[1])

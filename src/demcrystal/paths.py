@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .eyd import ExtendedYoungDiagram, EYDTuple
-from .weights import DELTA, Weight, fundamental
+from .weights import DELTA, Weight
 
 
 def step(k: int, m: int) -> Weight:
@@ -32,15 +32,15 @@ class Path:
     def __post_init__(self):
         if len(self.points) < 2:
             raise ValueError("a path needs at least the two boundary weights")
-        k = self.points[0].level
-        for p in self.points:
-            if p.level != k or p.d != 0:
+        pts = self.points
+        k = pts[0].a0 + pts[0].a1
+        for p in pts:
+            if p.a0 + p.a1 != k or p.d != 0:
                 raise ValueError("path weights must share one level and carry no delta")
-        for a, b in zip(self.points, self.points[1:]):
-            diff = b - a
-            m, odd = divmod(k - diff.a0, 2)
+        for a, b in zip(pts, pts[1:]):
+            m, odd = divmod(k - (b.a0 - a.a0), 2)
             if odd or not 0 <= m <= k:
-                raise ValueError(f"step {diff} is not an allowed letter at level {k}")
+                raise ValueError(f"step {b - a} is not an allowed letter at level {k}")
 
     @property
     def L(self) -> int:
@@ -54,15 +54,13 @@ class Path:
 def iota(p: Path) -> tuple[int, ...]:
     """Step letters m_0 .. m_L; together with p_0 they determine the path."""
     k = p.k
-    out = []
-    for a, b in zip(p.points, p.points[1:]):
-        out.append((k - (b - a).a0) // 2)
-    return tuple(out)
+    pts = p.points
+    return tuple((k - b.a0 + a.a0) // 2 for a, b in zip(pts, pts[1:]))
 
 
 def boundary_weight(lam: Weight, i: int) -> Weight:
     """s Lambda_i + t Lambda_{i+1} for Lambda = s Lambda_0 + t Lambda_1."""
-    return lam.a0 * fundamental(i) + lam.a1 * fundamental(i + 1)
+    return Weight(lam.a0, lam.a1, 0) if i % 2 == 0 else Weight(lam.a1, lam.a0, 0)
 
 
 def ground_state_path(lam: Weight, L: int) -> Path:
@@ -77,10 +75,13 @@ def from_letters(lam: Weight, L: int, letters) -> Path:
     if len(letters) != L:
         raise ValueError(f"expected {L} free letters, got {len(letters)}")
     k = lam.level
-    pts = [boundary_weight(lam, L), boundary_weight(lam, L + 1)]
+    # p_j = (a, k - a, 0), and letter m moves a by step(k, m).a0 = k - 2m
+    a = boundary_weight(lam, L).a0
+    a0s = [boundary_weight(lam, L + 1).a0, a]
     for m in reversed(letters):
-        pts.insert(0, pts[0] - step(k, m))
-    return Path(tuple(pts))
+        a -= k - 2 * m
+        a0s.append(a)
+    return Path(tuple(Weight(a, k - a, 0) for a in reversed(a0s)))
 
 
 def in_path_set(p: Path, lam: Weight, L: int) -> bool:
@@ -160,9 +161,8 @@ def pi(T: EYDTuple, L: int | None = None) -> Path:
         L = max(Y.width for Y in T.diagrams)
     if any(Y.width > L for Y in T.diagrams):
         raise ValueError("window length L is smaller than a diagram width")
-    letters = []
-    for j in range(L):
-        letters.append(sum(1 for Y in T.diagrams if (Y.y(j) + j) % 2 == 0))
+    rows = [Y.columns + (Y.charge,) * (L - Y.width) for Y in T.diagrams]
+    letters = [sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(zip(*rows))]
     return from_letters(lam, L, letters)
 
 

@@ -55,6 +55,12 @@ def test_a2_crystal_characterization():
     report("A2 crystal characterization (s+t<=3, L<=5)", ok, first_bad)
 
 
+def test_demazure_crystal_level4_grid():
+    # a larger grid beside A2's: every weight of level <= 4 at L <= 4
+    ok, first_bad = run_engine({"demazure-crystal": 56}, verify.demazure_crystal(4, 4))
+    assert ok, first_bad
+
+
 def test_a3_path_character():
     first_bad = ""
     ok = True

@@ -184,3 +184,25 @@ def test_verify_failure_path(monkeypatch, capsys):
         "boson-fermion k=1 L=1: FAIL\n"
         "suite boson-fermion: FAIL\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["character", "--s", "1", "--t", "1", "-L", "0", "--route", route]
+     for route in ("bosonic", "demazure+", "demazure-")]
+    + [["crystal", "--s", "1", "--t", "0", "--word", "r0r0"],
+       ["oracle", "--s", "1", "--t", "0", "--word", "r1r1"],
+       ["oracle", "--s", "1", "--t", "0", "--word", "w+x"]],
+)
+def test_checked_before_any_route(argv, capsys):
+    assert_usage_error(argv, capsys)
+
+
+def test_route_fault_is_not_a_usage_error(monkeypatch, capsys):
+    def broken(*args):
+        raise ValueError("inexact polynomial division: non-zero remainder")
+
+    monkeypatch.setattr(characters, "f_bosonic", broken)
+    with pytest.raises(ValueError, match="remainder"):
+        main(["character", "--s", "1", "--t", "1", "-L", "3", "--route", "bosonic"])
+    assert capsys.readouterr().err == ""

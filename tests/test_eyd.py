@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from demcrystal.demazure import generate_crystal
 from demcrystal.eyd import (
     CONCAVE,
     CONVEX,
@@ -14,6 +15,7 @@ from demcrystal.eyd import (
     phi_i,
     reduce_signature,
 )
+from demcrystal.verify import weights_up_to
 from demcrystal.weights import ALPHA, ALPHA0, ALPHA1, LAMBDA1, Weight
 
 
@@ -163,3 +165,52 @@ def test_epsilon_phi_weight_rule():
 def test_json_roundtrip():
     T = fixture_tuple()
     assert EYDTuple.from_json_obj(T.to_json_obj()) == T
+
+
+# -- the one-pass kernel against the corner-geometry reference -----------------
+
+def reference_operators(T, i):
+    """(f_tilde, e_tilde, epsilon_i, phi_i) read off ``i_signature`` and
+    ``reduce_signature``: the leftmost relevant concave corner gains a box,
+    the rightmost relevant convex corner loses one."""
+    sig = i_signature(T, i)
+    relevant = [sig[idx] for idx in reduce_signature([e.bit for e in sig])]
+    concave = [e for e in relevant if e.bit == 0]
+    convex = [e for e in relevant if e.bit == 1]
+    f = e = None
+    if concave:
+        c = concave[0]
+        f = T.replace(c.diagram - 1, T.diagrams[c.diagram - 1].add_box(c.column))
+    if convex:
+        c = convex[-1]
+        e = T.replace(c.diagram - 1, T.diagrams[c.diagram - 1].remove_box(c.column))
+    return f, e, len(convex), len(concave)
+
+
+def reference_crystal(lam, L):
+    """B_L(Lambda) as the width-bounded closure of the vacuum under the
+    reference f_tilde, so a broken kernel cannot make it run forever."""
+    root = EYDTuple.vacuum(lam.a0, lam.a1)
+    seen, frontier = {root}, [root]
+    while frontier:
+        grown = []
+        for T in frontier:
+            for i in (0, 1):
+                U = reference_operators(T, i)[0]
+                if U is not None and max(U.widths()) <= L and U not in seen:
+                    seen.add(U)
+                    grown.append(U)
+        frontier = grown
+    return seen
+
+
+@pytest.mark.parametrize("lam", list(weights_up_to(3)), ids=lambda lam: f"s{lam.a0}t{lam.a1}")
+def test_kernel_matches_signature_reference(lam):
+    # B_4(Lambda) holds every vertex of B_L(Lambda) for L <= 4
+    vertices = reference_crystal(lam, 4)
+    assert len(vertices) == (lam.level + 1) ** 4
+    for T in vertices:
+        for i in (0, 1):
+            got = (f_tilde(i, T), e_tilde(i, T), epsilon_i(T, i), phi_i(T, i))
+            assert got == reference_operators(T, i), (T.key(), i)
+    assert generate_crystal(lam, 4).vertices == vertices
