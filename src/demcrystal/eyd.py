@@ -59,6 +59,10 @@ class ExtendedYoungDiagram:
     def y(self, j: int) -> int:
         return self.columns[j] if j < len(self.columns) else self.charge
 
+    def row(self, n: int) -> tuple[int, ...]:
+        """(y_0, ..., y_{n-1}) for n >= width: the columns padded with the charge."""
+        return self.columns + (self.charge,) * (n - len(self.columns))
+
     @property
     def width(self) -> int:
         return len(self.columns)
@@ -140,10 +144,8 @@ class EYDTuple:
             raise ValueError("diagram charges must be sorted (all 0s before all 1s)")
         if not self.diagrams:
             raise ValueError("tuple must contain at least one diagram")
-        # every diagram padded with its charge to one common width plus one
         maxw = max(len(Y.columns) for Y in self.diagrams)
-        rows = [Y.columns + (Y.charge,) * (maxw + 1 - len(Y.columns)) for Y in self.diagrams]
-        for col in zip(*rows):
+        for col in zip(*(Y.row(maxw + 1) for Y in self.diagrams)):
             for a, b in zip(col, col[1:]):
                 if a > b:
                     raise ValueError("inclusion rule violated between consecutive diagrams")

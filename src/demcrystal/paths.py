@@ -161,8 +161,8 @@ def pi(T: EYDTuple, L: int | None = None) -> Path:
         L = max(Y.width for Y in T.diagrams)
     if any(Y.width > L for Y in T.diagrams):
         raise ValueError("window length L is smaller than a diagram width")
-    rows = [Y.columns + (Y.charge,) * (L - Y.width) for Y in T.diagrams]
-    letters = [sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(zip(*rows))]
+    columns = zip(*(Y.row(L) for Y in T.diagrams))
+    letters = [sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(columns)]
     return from_letters(lam, L, letters)
 
 
