@@ -60,7 +60,7 @@ def f_recursive(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
     for d in range(b - k, b + k + 1, 2):
         inner = f_recursive(k, L - 1, d, b)
         if inner:
-            out = out + inner.q_shift(Fraction(L * abs(d - c), 4))
+            out = out + inner.shift_quarters(L * abs(d - c))
     return out
 
 
@@ -110,13 +110,14 @@ def f_bosonic(k: int, L: int, b: int, c: int,
             minus = 2 * i <= L + nu - 2 and 2 * j >= L + mu + 1
             if not (plus or minus):
                 continue
-            # Q = (i-j)(i-j+1)/2 - (A/2)(B/2)k + (b/2)(A/2) + (c/2)(B/2)
+            # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L
             A, B = 2 * i - L + 1, 2 * j - L
-            Q = Fraction(2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B, 4)
-            term = gaussian(L - 1, i) * gaussian(L, j)
-            term = term.q_shift(Q)
-            sign = (-1) ** (i + j) * (1 if plus else -1)
-            num = num + sign * term
+            Q4 = 2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B
+            term = (gaussian(L - 1, i) * gaussian(L, j)).shift_quarters(Q4)
+            if ((i + j) % 2 == 0) == plus:
+                num = num + term
+            else:
+                num = num - term
     return num.exact_div(qpoch(L - 1))
 
 
@@ -168,7 +169,7 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
                 Q -= (a2 - a) * xs[a] * xs[a2]
             if a >= thr:
                 Q += (a - thr) * xs[a]
-        out = out + q_multinomial(L, xs).q_shift(Fraction(base + 4 * Q, 4))
+        out = out + q_multinomial(L, xs).shift_quarters(base + 4 * Q)
     return out
 
 
@@ -189,8 +190,8 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         inner = f_recursive(k - 1, L - i, b + (k + 1) * i - L, c + (k + 1) * i - L + 1)
         if not inner:
             continue
-        e = Fraction(L * (L - 1) - (k - 1) * i * i - (2 * L + b + c - 1) * i, 4)
-        out = out + (gaussian(L, i) * inner).q_shift(e)
+        e4 = L * (L - 1) - (k - 1) * i * i - (2 * L + b + c - 1) * i
+        out = out + (gaussian(L, i) * inner).shift_quarters(e4)
     return out
 
 
@@ -218,7 +219,7 @@ def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
     for j in range(j_lo, j_hi + 1):
         f = f_impl(k, L, base - 2 * j, eL1 * (s - t) - 2 * j)
         if f:
-            out = out + f.q_shift(Fraction(j, 2)).z_shift(-j)
+            out = out + f.shift_quarters(2 * j).z_shift(-j)
     if not out.has_integer_exponents():
         raise ValueError("path character came out with non-integer exponents")
     return out
@@ -231,9 +232,8 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
     if k == 1:
         # rank one has no Cartan-matrix part; use the configuration sum
         eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
-        return f_recursive(1, L, eL * (s - t) - 2 * j, eL1 * (s - t) - 2 * j).q_shift(
-            Fraction(j, 2)
-        )
+        f = f_recursive(1, L, eL * (s - t) - 2 * j, eL1 * (s - t) - 2 * j)
+        return f.shift_quarters(2 * j)
     cinv = cartan_inverse(k)
     out = ZERO
     even = L % 2 == 0

@@ -38,13 +38,14 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
                 if U is None or any(w > L for w in U.widths()):
                     continue
                 edges.add((T, i, U))
-                if U.key() not in seen:
-                    seen[U.key()] = U
+                key = U.key()
+                if key not in seen:
+                    seen[key] = U
                     nxt.append(U)
         frontier = nxt
-    verts = frozenset(seen.values())
-    # keep only edges internal to the width-bounded set
-    return CrystalGraph(verts, frozenset(e for e in edges if e[2] in verts))
+    # every edge target passed the width check and sits in seen, so all
+    # edges are internal to the width-bounded set
+    return CrystalGraph(frozenset(seen.values()), frozenset(edges))
 
 
 def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:

@@ -1,14 +1,28 @@
 """Exact Laurent polynomials in z and q over the integers.
 
-z-exponents are integers and q-exponents lie in (1/4)Z.  Each term
-c * z^a * q^r is stored as ``{(a, 4r): c}`` with both key entries plain
-ints, so sums, products, shifts and division never touch a rational.
-Rational q-exponents are accepted only at the public boundary (``term``,
-``qpow``, ``q_shift``, ``coefficient``, ``__init__``, ``from_json_obj``),
-where ``_quarters`` converts them and raises ValueError for any
-denominator that does not divide 4.  ``to_text`` and ``to_json_obj``
-print quarters back as reduced fractions.  Coefficients are Python ints,
-so all arithmetic is exact at any size.
+z-exponents are integers and q-exponents lie in (1/4)Z.  Internally a
+q-exponent r is the int 4r, its count of quarters.  Rational q-exponents
+are accepted only at the public boundary (``term``, ``qpow``, ``q_shift``,
+``coefficient``, ``__init__``, ``from_json_obj``), where ``_quarters``
+converts them and raises ValueError for any denominator that does not
+divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
+fractions.
+
+Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
+z-power a are stored as one pair ``(lo, p)``: lo is the lowest quarter
+exponent e and p = sum of c_e * 2^(B*(e - lo)), the row evaluated at
+q^(1/4) = 2^B.  The digits c_e are signed: every |c_e| < 2^(B-1), so p
+determines them, and the digit at lo is non-zero, so equal rows are
+equal pairs.  Each polynomial tracks a bound N on the sum of |c| over
+all its terms, and its digit width B is the smallest of 32, 64, 128, ...
+with N < 2^(B-1).  Sums and products carry the bound along (N1 + N2 and
+N1 * N2); when that needs a wider B, the operands are re-packed wider
+before the operation, so a digit never overflows.  A product of two rows
+is then one int multiply, a sum is a shift and an add, a q-shift moves
+lo, and exact division is one divmod (``exact_div`` states why its
+quotient is exact).  Terms are decoded only at the boundary: text, JSON,
+term queries and hashing.  Coefficients are Python ints, so all
+arithmetic is exact at any size.
 """
 from __future__ import annotations
 
@@ -34,14 +48,101 @@ def _reduced(q4: int) -> tuple[int, int]:
     return q4 // g, 4 // g
 
 
+# -- packed rows -------------------------------------------------------------------
+
+def _width(norm: int) -> int:
+    """The digit width B for a coefficient bound: least 32 * 2^j with norm < 2^(B-1)."""
+    bits = 32
+    while norm >> (bits - 1):
+        bits *= 2
+    return bits
+
+
+def _ones(n: int, bits: int) -> int:
+    """Sum of 2^(bits*i) for 0 <= i < n."""
+    return ((1 << (bits * n)) - 1) // ((1 << bits) - 1)
+
+
+def _unpack(p: int, bits: int) -> list[int]:
+    """The digits of p in [-2^(bits-1), 2^(bits-1)), lowest first (the last
+    ones may be 0).
+
+    Adding 2^(bits-1) to every digit makes them all non-negative, so they
+    are read straight off the bytes of one int.  Digits below the top one
+    can make p up to two bits shorter than the top digit's place, hence
+    the extra digit in n."""
+    w = bits // 8
+    n = p.bit_length() // bits + 2
+    half = 1 << (bits - 1)
+    data = (p + half * _ones(n, bits)).to_bytes(n * w, "little")
+    return [int.from_bytes(data[j:j + w], "little") - half for j in range(0, n * w, w)]
+
+
+def _join(digits, bits: int) -> int:
+    """The int whose signed base-2^bits digits are ``digits``, lowest first."""
+    w = bits // 8
+    half = 1 << (bits - 1)
+    data = b"".join((d + half).to_bytes(w, "little") for d in digits)
+    return int.from_bytes(data, "little") - half * _ones(len(digits), bits)
+
+
+def _add_row(rows: dict, z: int, lo: int, p: int, bits: int) -> None:
+    """rows[z] += the packed row (lo, p); a row that cancels is dropped."""
+    old = rows.get(z)
+    if old is None:
+        rows[z] = (lo, p)
+        return
+    lo0, p0 = old
+    if lo < lo0:
+        lo, p, lo0, p0 = lo0, p0, lo, p
+    s = p0 + (p << (bits * (lo - lo0)))
+    if not s:
+        del rows[z]
+        return
+    if lo == lo0:  # the lowest digits may have cancelled
+        zeros = ((s & -s).bit_length() - 1) // bits
+        if zeros:
+            s >>= bits * zeros
+            lo0 += zeros
+    rows[z] = (lo0, s)
+
+
+def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
+    """The polynomial with these rows, packed at width bits == _width(norm)."""
+    res = object.__new__(BivariatePolynomial)
+    if not rows:
+        norm, bits = 0, _width(0)
+    res._rows = rows
+    res._norm = norm
+    res._bits = bits
+    res._hash = None
+    return res
+
+
+def _pack(terms: dict) -> "BivariatePolynomial":
+    """Pack {(z-exponent, quarter exponent): coefficient}; zeros are dropped."""
+    by_z: dict[int, dict[int, int]] = {}
+    norm = 0
+    for (z, q4), c in terms.items():
+        if c:
+            by_z.setdefault(z, {})[q4] = c
+            norm += abs(c)
+    bits = _width(norm)
+    rows = {}
+    for z, row in by_z.items():
+        lo = min(row)
+        rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
+    return _poly(rows, norm, bits)
+
+
 class BivariatePolynomial:
     """Finite integer combination of z^a * q^r, a integer, r quarter-integer.
 
-    Instances are immutable; zero coefficients are never stored, so
-    equality is plain term-by-term comparison.
+    Instances are immutable.  Rows are stored packed (see the module
+    docstring); equality and hashing do not depend on the digit width.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_rows", "_norm", "_bits", "_hash")
 
     def __init__(self, terms=None):
         out: dict[tuple[int, int], int] = {}
@@ -49,17 +150,20 @@ class BivariatePolynomial:
             for (ze, qe), c in terms.items():
                 key = (int(ze), _quarters(qe))
                 out[key] = out.get(key, 0) + c
-        self._terms = {key: c for key, c in out.items() if c}
-        self._hash = None
+        p = _pack(out)
+        self._rows, self._norm, self._bits, self._hash = p._rows, p._norm, p._bits, None
 
     @classmethod
     def _from_quarters(cls, terms: dict) -> "BivariatePolynomial":
         """Trusted constructor: keys are already (z-exponent, 4 * q-exponent)
         int pairs.  Drops zero coefficients and skips all other checks."""
-        res = cls.__new__(cls)
-        res._terms = {key: c for key, c in terms.items() if c}
-        res._hash = None
-        return res
+        return _pack(terms)
+
+    def _at(self, bits: int) -> dict:
+        """The rows re-packed at a digit width bits >= self._bits."""
+        if bits == self._bits:
+            return self._rows
+        return {z: (lo, _join(_unpack(p, self._bits), bits)) for z, (lo, p) in self._rows.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -78,22 +182,29 @@ class BivariatePolynomial:
     # -- basic protocol --------------------------------------------------------
 
     @property
-    def terms(self):
-        return self._terms
+    def terms(self) -> dict:
+        """The non-zero terms as {(z-exponent, 4 * q-exponent): coefficient}."""
+        out = {}
+        for z, (lo, p) in self._rows.items():
+            for i, c in enumerate(_unpack(p, self._bits)):
+                if c:
+                    out[(z, lo + i)] = c
+        return out
 
     def __bool__(self) -> bool:
-        return bool(self._terms)
+        return bool(self._rows)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):
             other = BivariatePolynomial.term(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        return self._terms == other._terms
+        bits = max(self._bits, other._bits)
+        return self._at(bits) == other._at(bits)
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(frozenset(self._terms.items()))
+            self._hash = hash(frozenset(self.terms.items()))
         return self._hash
 
     def __repr__(self) -> str:
@@ -104,15 +215,17 @@ class BivariatePolynomial:
     def __add__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
             other = BivariatePolynomial.term(other)
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return BivariatePolynomial._from_quarters(out)
+        norm = self._norm + other._norm
+        bits = _width(norm)
+        out = dict(self._at(bits))
+        for z, (lo, p) in other._at(bits).items():
+            _add_row(out, z, lo, p, bits)
+        return _poly(out, norm, bits)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePolynomial":
-        return BivariatePolynomial._from_quarters({k: -c for k, c in self._terms.items()})
+        return _poly({z: (lo, -p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
@@ -125,12 +238,14 @@ class BivariatePolynomial:
     def __mul__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
             other = BivariatePolynomial.term(other)
-        out: dict[tuple[int, int], int] = {}
-        for (z1, q1), c1 in self._terms.items():
-            for (z2, q2), c2 in other._terms.items():
-                key = (z1 + z2, q1 + q2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return BivariatePolynomial._from_quarters(out)
+        norm = self._norm * other._norm
+        bits = max(self._bits, other._bits, _width(norm))
+        out: dict[int, tuple[int, int]] = {}
+        right = other._at(bits).items()
+        for z1, (lo1, p1) in self._at(bits).items():
+            for z2, (lo2, p2) in right:
+                _add_row(out, z1 + z2, lo1 + lo2, p1 * p2, bits)
+        return _poly(out, norm, bits)
 
     __rmul__ = __mul__
 
@@ -149,38 +264,37 @@ class BivariatePolynomial:
     # -- queries and transforms ---------------------------------------------------
 
     def coefficient(self, ze: int = 0, qe=0) -> int:
-        return self._terms.get((ze, _quarters(qe)), 0)
+        return self.terms.get((ze, _quarters(qe)), 0)
 
     def is_z_free(self) -> bool:
-        return all(ze == 0 for ze, _ in self._terms)
+        return all(ze == 0 for ze in self._rows)
 
     def has_integer_exponents(self) -> bool:
-        return all(q4 % 4 == 0 for _, q4 in self._terms)
+        return all(q4 % 4 == 0 for _, q4 in self.terms)
 
     def value_at_one(self) -> int:
         """Value at z = q = 1 (sum of coefficients)."""
-        return sum(self._terms.values())
+        return sum(self.terms.values())
 
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
-        e = _quarters(qe)
-        return BivariatePolynomial._from_quarters(
-            {(z, q4 + e): c for (z, q4), c in self._terms.items()}
-        )
+        return self.shift_quarters(_quarters(qe))
+
+    def shift_quarters(self, q4: int) -> "BivariatePolynomial":
+        """Multiply by q^(q4/4) for an int q4."""
+        return _poly({z: (lo + q4, p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
 
     def z_shift(self, ze: int) -> "BivariatePolynomial":
         """Multiply by z^ze."""
-        return BivariatePolynomial._from_quarters(
-            {(z + ze, q4): c for (z, q4), c in self._terms.items()}
-        )
+        return _poly({z + ze: row for z, row in self._rows.items()}, self._norm, self._bits)
 
     def _substitute(self, new_key) -> "BivariatePolynomial":
         """Move each term to new_key(z, q4), summing terms that collide."""
         out: dict[tuple[int, int], int] = {}
-        for (z, q4), c in self._terms.items():
+        for (z, q4), c in self.terms.items():
             key = new_key(z, q4)
             out[key] = out.get(key, 0) + c
-        return BivariatePolynomial._from_quarters(out)
+        return _pack(out)
 
     def scale_q_exponents(self, factor: int) -> "BivariatePolynomial":
         """Substitute q = q^factor for an integer factor."""
@@ -202,6 +316,18 @@ class BivariatePolynomial:
 
         Raises ValueError when either operand involves z or the division
         leaves a remainder.
+
+        Both rows n and d are read at one width B and their packed ints
+        divided once.  A polynomial quotient would divide them exactly at
+        every B, so a non-zero integer remainder raises.  An exact integer
+        quotient decodes to a row Q with digits below 2^(B-1); the row
+        Q*d - n vanishes at q^(1/4) = 2^B and has every coefficient at
+        most max|Q| * ||d||_1 + max|n|.  When that is < 2^(B-1), Q*d - n
+        is the zero polynomial and Q is the quotient.  Otherwise B is
+        doubled and the division redone.  A true quotient has ||Q||_1 <=
+        2^deg(n) * ||n||_1 (Mignotte), so once 2^(B-1) exceeds
+        2^deg(n) * ||n||_1 * ||d||_1 + ||n||_1 and the check still fails,
+        there is no quotient and the division raises as inexact.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -210,37 +336,34 @@ class BivariatePolynomial:
         if not self:
             return BivariatePolynomial.zero()
 
-        div = {q4: c for (_, q4), c in divisor._terms.items()}
-        d_lo = min(div)
-        d_hi = max(div)
-        c_lo = div[d_lo]
-        rem = {q4: c for (_, q4), c in self._terms.items()}
-        hi_bound = max(rem) - d_hi
-        quot: dict[tuple[int, int], int] = {}
-        while rem:
-            e = min(rem)
-            c, r = divmod(rem[e], c_lo)
-            if r != 0 or e - d_lo > hi_bound:
+        bits = max(self._bits, divisor._bits)
+        while True:
+            lo_n, n = self._at(bits)[0]
+            lo_d, d = divisor._at(bits)[0]
+            quot, rem = divmod(n, d)
+            if rem:
                 raise ValueError("inexact polynomial division")
-            shift = e - d_lo
-            quot[(0, shift)] = c
-            for q4, dc in div.items():
-                key = q4 + shift
-                nc = rem.get(key, 0) - c * dc
-                if nc:
-                    rem[key] = nc
-                else:
-                    rem.pop(key, None)
-        return BivariatePolynomial._from_quarters(quot)
+            digits = _unpack(quot, bits)
+            limit = 1 << (bits - 1)
+            if max(map(abs, digits)) * divisor._norm + self._norm < limit:
+                break
+            if (self._norm << (n.bit_length() // bits)) * divisor._norm + self._norm < limit:
+                raise ValueError("inexact polynomial division")
+            bits *= 2
+        norm = sum(map(abs, digits))
+        if _width(norm) != bits:
+            bits = _width(norm)
+            quot = _join(digits, bits)
+        return _poly({0: (lo_n - lo_d, quot)}, norm, bits)
 
     # -- serialization -------------------------------------------------------------
 
     def sorted_terms(self):
         """Terms in canonical output order: ascending q-exponent, then z-exponent."""
-        return sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
+        return sorted(self.terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
 
     def to_text(self) -> str:
-        if not self._terms:
+        if not self._rows:
             return "0"
         parts = []
         for (ze, q4), c in self.sorted_terms():
@@ -332,17 +455,20 @@ def gaussian(M: int, i: int) -> BivariatePolynomial:
 def q_multinomial(M: int, parts) -> BivariatePolynomial:
     """q-multinomial coefficient [M; m_1 ... m_n].
 
-    Zero unless all parts are nonnegative and sum to M.
+    Zero unless all parts are nonnegative and sum to M.  The unit factors
+    [rest, 0] and [rest, rest] are skipped.
     """
     parts = list(parts)
     if any(m < 0 for m in parts) or sum(parts) != M or M < 0:
         return ZERO
-    out = ONE
+    out = None
     rest = M
     for m in parts:
-        out = out * gaussian(rest, m)
+        if 0 < m < rest:
+            g = gaussian(rest, m)
+            out = g if out is None else out * g
         rest -= m
-    return out
+    return ONE if out is None else out
 
 
 def verify_gaussian_lemma(M: int, N: int, n: int) -> bool:

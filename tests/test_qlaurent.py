@@ -191,3 +191,22 @@ def test_substitutions():
     assert r == qpow(2) + qpow(-1)
     s = p.subs_z_to_q_q_to_q2()
     assert s == qpow(4) + qpow(1)
+
+
+def test_packed_digits_round_trip():
+    # any int, including the quotients exact_div decodes before checking
+    # them, splits into digits in [-2^(B-1), 2^(B-1)) that rebuild it; a top
+    # digit of 1 over digits of -2^(B-1) is the shortest int for its length
+    from demcrystal.qlaurent import _join, _unpack
+
+    rng = random.Random(8)
+    for bits in (32, 64, 128):
+        half = 1 << (bits - 1)
+        edge = [-half] * 5 + [1]
+        samples = [0, 1, -1, half - 1, -half, _join(edge, bits), -_join(edge, bits)]
+        samples += [rng.randint(-(2 ** 300), 2 ** 300) for _ in range(50)]
+        for p in samples:
+            digits = _unpack(p, bits)
+            assert _join(digits, bits) == p
+            assert all(-half <= d < half for d in digits)
+        assert _unpack(_join(edge, bits), bits)[:6] == edge

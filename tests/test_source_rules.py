@@ -36,3 +36,33 @@ def test_rules_catch_each_pattern():
     assert [what for _, what in sorted(violations(ast.parse(source)))] == [
         "assert statement", "float literal 0.5", "float() call", "true division", "true division",
     ]
+
+
+# The f routes and ch_via_f shift by quarter-unit ints; a Fraction there
+# would put a rational back on the hot path of every character route.
+QUARTER_INT_FUNCTIONS = ("f_recursive", "f_bosonic", "f_fermionic", "ch_via_f")
+
+
+def fraction_calls(tree, names=QUARTER_INT_FUNCTIONS):
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef) and fn.name in names:
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
+                    yield fn.name, node.lineno
+
+
+def test_f_routes_use_quarter_ints():
+    path = SOURCES[0].parent / "characters.py"
+    tree = ast.parse(path.read_text())
+    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+    assert set(QUARTER_INT_FUNCTIONS) <= defined
+    assert list(fraction_calls(tree)) == []
+
+
+def test_fraction_rule_catches_the_pattern():
+    source = (
+        "def f_bosonic(k):\n    return p.q_shift(Fraction(k, 4))\n"
+        "def other(k):\n    return Fraction(k, 4)\n"
+        "def ch_via_f(j):\n    def inner():\n        return Fraction(j, 2)\n    return inner\n"
+    )
+    assert list(fraction_calls(ast.parse(source))) == [("f_bosonic", 2), ("ch_via_f", 7)]
