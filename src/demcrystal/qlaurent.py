@@ -119,22 +119,6 @@ def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
     return res
 
 
-def _pack(terms: dict) -> "BivariatePolynomial":
-    """Pack {(z-exponent, quarter exponent): coefficient}; zeros are dropped."""
-    by_z: dict[int, dict[int, int]] = {}
-    norm = 0
-    for (z, q4), c in terms.items():
-        if c:
-            by_z.setdefault(z, {})[q4] = c
-            norm += abs(c)
-    bits = _width(norm)
-    rows = {}
-    for z, row in by_z.items():
-        lo = min(row)
-        rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
-    return _poly(rows, norm, bits)
-
-
 class BivariatePolynomial:
     """Finite integer combination of z^a * q^r, a integer, r quarter-integer.
 
@@ -150,14 +134,25 @@ class BivariatePolynomial:
             for (ze, qe), c in terms.items():
                 key = (int(ze), _quarters(qe))
                 out[key] = out.get(key, 0) + c
-        p = _pack(out)
+        p = BivariatePolynomial._from_quarters(out)
         self._rows, self._norm, self._bits, self._hash = p._rows, p._norm, p._bits, None
 
     @classmethod
     def _from_quarters(cls, terms: dict) -> "BivariatePolynomial":
         """Trusted constructor: keys are already (z-exponent, 4 * q-exponent)
         int pairs.  Drops zero coefficients and skips all other checks."""
-        return _pack(terms)
+        by_z: dict[int, dict[int, int]] = {}
+        norm = 0
+        for (z, q4), c in terms.items():
+            if c:
+                by_z.setdefault(z, {})[q4] = c
+                norm += abs(c)
+        bits = _width(norm)
+        rows = {}
+        for z, row in by_z.items():
+            lo = min(row)
+            rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
+        return _poly(rows, norm, bits)
 
     def _at(self, bits: int) -> dict:
         """The rows re-packed at a digit width bits >= self._bits."""
@@ -294,7 +289,7 @@ class BivariatePolynomial:
         for (z, q4), c in self.terms.items():
             key = new_key(z, q4)
             out[key] = out.get(key, 0) + c
-        return _pack(out)
+        return BivariatePolynomial._from_quarters(out)
 
     def scale_q_exponents(self, factor: int) -> "BivariatePolynomial":
         """Substitute q = q^factor for an integer factor."""
