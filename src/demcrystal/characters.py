@@ -9,9 +9,7 @@ brute-force path sums and the Demazure-operator oracle.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
-from itertools import product
 
 from .demazure import demazure_crystal_direct
 from .paths import (
@@ -234,57 +232,44 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
         eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
         f = f_recursive(1, L, eL * (s - t) - 2 * j, eL1 * (s - t) - 2 * j)
         return f.shift_quarters(2 * j)
-    cinv = cartan_inverse(k)
     out = ZERO
-    even = L % 2 == 0
-    # x_1 .. x_{k-1} with total at most L
-    for xs in _bounded_vectors(k - 1, L):
+    r, unit = (j, s) if L % 2 == 0 else (j + t, t)
+    # x_1 .. x_{k-1} and the slack x_0 + x_k; the congruence makes x_k exact
+    for comp in _compositions(k, L):
+        xs = comp[:-1]
         wsum = sum(i * x for i, x in enumerate(xs, start=1))
-        csum = sum((k - i) * x for i, x in enumerate(xs, start=1))
-        if even:
-            if (wsum - j) % k:
-                continue
-            x0 = Fraction(L, 2) - Fraction(csum + j, k)
-            xk = Fraction(L, 2) - Fraction(wsum - j, k)
-            unit = s
-        else:
-            if (wsum - j - t) % k:
-                continue
-            x0 = Fraction(L + 1, 2) - Fraction(csum + j + t, k)
-            xk = Fraction(L - 1, 2) - Fraction(wsum - j - t, k)
-            unit = t
-        if x0.denominator != 1 or xk.denominator != 1 or x0 < 0 or xk < 0:
+        if (wsum - r) % k:
             continue
-        vec = [Fraction(x) for x in xs]
-        e = _quadratic_form(cinv, vec, vec) + Fraction(j * (j + t), k)
-        if 1 <= unit <= k - 1:
-            e -= sum(cinv[i][unit - 1] * vec[i] for i in range(k - 1))
-        full = (int(x0),) + tuple(xs) + (int(xk),)
-        out = out + q_multinomial(L, full).q_shift(e)
+        xk = L // 2 - (wsum - r) // k
+        x0 = comp[-1] - xk
+        if x0 < 0 or xk < 0:
+            continue
+        # 4k e = 4 x(kC^{-1})x + 4j(j + t) - 4 (kC^{-1} x)_unit; the unit
+        # column vanishes at unit = 0 and unit = k
+        e4k = 4 * (_cartan_form(k, xs) + j * (j + t)
+                   - sum(min(i, unit) * (k - max(i, unit)) * x for i, x in enumerate(xs, start=1)))
+        full = (x0,) + xs + (xk,)
+        out = out + q_multinomial(L, full).shift_quarters(_quarters_over(e4k, k))
     return out
 
 
-def _bounded_vectors(n: int, total: int):
-    """Nonnegative integer n-vectors with sum <= total."""
-    if n == 0:
-        yield ()
-        return
-    for xs in product(range(total + 1), repeat=n):
-        if sum(xs) <= total:
-            yield xs
+def _cartan_form(k: int, xs) -> int:
+    """x (k C^{-1}) x for x = (x_1, ..., x_{k-1}), where C is the sl(k)
+    Cartan matrix and k C^{-1} is the integer matrix min(i,j)(k - max(i,j))."""
+    return sum(
+        min(i, j) * (k - max(i, j)) * a * b
+        for i, a in enumerate(xs, start=1)
+        for j, b in enumerate(xs, start=1)
+    )
 
 
-def cartan_inverse(k: int):
-    """Inverse Cartan matrix of sl(k): entries min(i,j)(k - max(i,j))/k."""
-    return [
-        [Fraction(min(i, j) * (k - max(i, j)), k) for j in range(1, k)]
-        for i in range(1, k)
-    ]
-
-
-def _quadratic_form(cinv, u, v) -> Fraction:
-    n = len(cinv)
-    return sum(cinv[i][j] * u[i] * v[j] for i in range(n) for j in range(n))
+def _quarters_over(e4k: int, k: int) -> int:
+    """The quarter count 4e of a q-exponent e given as the int 4k e; raises
+    ValueError unless e has denominator 1, 2 or 4."""
+    q4, rem = divmod(e4k, k)
+    if rem:
+        raise ValueError(f"q-exponent {e4k}/{4 * k} does not have denominator 1, 2 or 4")
+    return q4
 
 
 # -- Demazure characters -----------------------------------------------------------------
@@ -294,7 +279,7 @@ def level_weight(i: int, k: int) -> Weight:
     return Weight(i, k - i, 0)
 
 
-def demazure_ch(lam: Weight, sign: str, L: int, f_impl=f_recursive) -> BivariatePolynomial:
+def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """ch^{+/-}_L(Lambda) through the layer expansion over ch_{L-1}."""
     if L <= 0:
         raise ValueError("Demazure characters are computed for L > 0")
@@ -306,11 +291,11 @@ def demazure_ch(lam: Weight, sign: str, L: int, f_impl=f_recursive) -> Bivariate
     out = ZERO
     if sign == "+":
         for i in range(s + 1):
-            part = ch_via_f(level_weight(i, k), L - 1, f_impl)
+            part = ch_via_f(level_weight(i, k), L - 1)
             out = out + part.q_shift((L + e) // 2 * (s - i)).z_shift(-e * (s - i))
     else:
         for i in range(t + 1):
-            part = ch_via_f(level_weight(k - i, k), L - 1, f_impl)
+            part = ch_via_f(level_weight(k - i, k), L - 1)
             out = out + part.q_shift((L - e) // 2 * (t - i)).z_shift(e * (t - i))
     if not out.has_integer_exponents():
         raise ValueError("Demazure character came out with non-integer exponents")
@@ -353,16 +338,12 @@ def real_character_check(lam: Weight, L: int) -> bool:
 
 def principal_rhs(k: int, L: int) -> BivariatePolynomial:
     """Sum over occupations of q^{2 x C^{-1} x + (k/2) S (S+1)} times the
-    q^2-argument multinomial."""
-    cinv = cartan_inverse(k) if k >= 2 else []
+    q^2-argument multinomial, with k S = T = sum (k - 2i) x_i."""
     out = ZERO
     for xs in _compositions(k + 1, L):
-        S = Fraction(sum((k - 2 * i) * x for i, x in enumerate(xs)), k)
-        e = Fraction(k, 2) * S * (S + 1)
-        if k >= 2:
-            vec = [Fraction(x) for x in xs[1:k]]
-            e += 2 * _quadratic_form(cinv, vec, vec)
-        out = out + q_multinomial(L, xs).scale_q_exponents(2).q_shift(e)
+        T = sum((k - 2 * i) * x for i, x in enumerate(xs))
+        e4k = 2 * T * (T + k) + 8 * _cartan_form(k, xs[1:k])
+        out = out + q_multinomial(L, xs).scale_q_exponents(2).shift_quarters(_quarters_over(e4k, k))
     return out
 
 
@@ -384,30 +365,18 @@ def principal_character_check(k: int, L: int) -> bool:
 
 
 def sanderson_rhs(k: int, L: int) -> BivariatePolynomial:
-    """Sum over chains 0 <= i_1 <= ... <= i_k <= L with triangular q-powers."""
+    """Sum over chains 0 <= i_1 <= ... <= i_k <= L with triangular q-powers.
+
+    A chain is read off its k + 1 gaps, a composition of L; the
+    q-multinomial of the gaps does not depend on their order."""
     out = ZERO
-    for chain in _chains(k, L):
-        e = sum(i * (i + 1) // 2 for i in chain)
-        parts = [L - chain[-1]]
-        for a in range(k - 1, 0, -1):
-            parts.append(chain[a] - chain[a - 1])
-        parts.append(chain[0])
-        out = out + q_multinomial(L, parts).q_shift(e)
+    for gaps in _compositions(k + 1, L):
+        e, i = 0, 0
+        for g in gaps[:k]:
+            i += g
+            e += i * (i + 1) // 2
+        out = out + q_multinomial(L, gaps).q_shift(e)
     return out
-
-
-def _chains(k: int, L: int):
-    """Nondecreasing k-tuples with entries in 0..L."""
-    def rec(a, lo, acc):
-        if a == k:
-            yield tuple(acc)
-            return
-        for v in range(lo, L + 1):
-            acc.append(v)
-            yield from rec(a + 1, v, acc)
-            acc.pop()
-
-    yield from rec(0, 0, [])
 
 
 def sanderson_identity_check(k: int, L: int) -> bool:

@@ -60,16 +60,6 @@ def test_energy_anchor():
     assert ground_state_H_sum_direct(lam, 2) == 4
 
 
-def test_ground_state_sum_closed_form():
-    for s in range(0, 5):
-        for t in range(0, 5 - s):
-            if s + t < 1:
-                continue
-            lam = Weight(s, t, 0)
-            for L in range(0, 13):
-                assert ground_state_H_sum(lam, L) == ground_state_H_sum_direct(lam, L)
-
-
 def test_epsilon_L():
     assert epsilon_L(0) == 0
     assert epsilon_L(1) == 1

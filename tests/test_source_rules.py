@@ -1,6 +1,7 @@
 """The library's exactness contract, checked on its source: no ``assert``
 statement (``python -O`` strips them), no float literal, no ``float(`` call
-and no true division ``/`` anywhere in ``src/demcrystal``."""
+and no true division ``/`` anywhere in ``src/demcrystal``, and no ``Fraction``
+outside ``qlaurent._quarters``."""
 import ast
 from pathlib import Path
 
@@ -38,31 +39,58 @@ def test_rules_catch_each_pattern():
     ]
 
 
-# The f routes and ch_via_f shift by quarter-unit ints; a Fraction there
-# would put a rational back on the hot path of every character route.
-QUARTER_INT_FUNCTIONS = ("f_recursive", "f_bosonic", "f_fermionic", "ch_via_f")
+# Exponents are quarter-unit ints everywhere in the library; the one place a
+# rational q-exponent is parsed is qlaurent._quarters, at the ring boundary.
+FRACTION_OWNER = ("qlaurent.py", "_quarters")
 
 
-def fraction_calls(tree, names=QUARTER_INT_FUNCTIONS):
-    for fn in ast.walk(tree):
-        if isinstance(fn, ast.FunctionDef) and fn.name in names:
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "Fraction":
-                    yield fn.name, node.lineno
+def fraction_uses(tree, owner=None):
+    """(line, what) for each import or mention of Fraction outside the
+    function named owner; with an owner, its module may also import
+    Fraction (and nothing else) from fractions."""
+    allowed = set()
+    for node in ast.walk(tree):
+        if owner and (
+            isinstance(node, ast.FunctionDef) and node.name == owner
+            or isinstance(node, ast.ImportFrom) and node.module == "fractions"
+            and [(a.name, a.asname) for a in node.names] == [("Fraction", None)]
+        ):
+            allowed.update(map(id, ast.walk(node)))
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.ImportFrom) and (
+            node.module == "fractions" or any(a.name == "Fraction" for a in node.names)
+        ) or isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names):
+            yield node.lineno, "Fraction import"
+        elif isinstance(node, ast.Name) and node.id == "Fraction" or (
+            isinstance(node, ast.Attribute) and node.attr == "Fraction"
+        ):
+            yield node.lineno, "Fraction use"
 
 
-def test_f_routes_use_quarter_ints():
-    path = SOURCES[0].parent / "characters.py"
-    tree = ast.parse(path.read_text())
-    defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
-    assert set(QUARTER_INT_FUNCTIONS) <= defined
-    assert list(fraction_calls(tree)) == []
+def test_fraction_only_in_quarters():
+    module, owner = FRACTION_OWNER
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        uses = fraction_uses(tree, owner if path.name == module else None)
+        found += [f"{path.name}:{line}: {what}" for line, what in uses]
+    assert found == []
+    # the exemption names a function that exists
+    assert f"def {owner}(" in (SOURCES[0].parent / module).read_text()
 
 
 def test_fraction_rule_catches_the_pattern():
     source = (
+        "from fractions import Fraction\n"
+        "import fractions\n"
+        "def _quarters(v):\n    return Fraction(v)\n"
         "def f_bosonic(k):\n    return p.q_shift(Fraction(k, 4))\n"
-        "def other(k):\n    return Fraction(k, 4)\n"
+        "def other(k):\n    return fractions.Fraction(k, 4)\n"
         "def ch_via_f(j):\n    def inner():\n        return Fraction(j, 2)\n    return inner\n"
     )
-    assert list(fraction_calls(ast.parse(source))) == [("f_bosonic", 2), ("ch_via_f", 7)]
+    strays = [(2, "Fraction import"), (6, "Fraction use"), (8, "Fraction use"), (11, "Fraction use")]
+    assert sorted(fraction_uses(ast.parse(source), "_quarters")) == strays
+    # without the exemption the owner's import and body are strays too
+    assert sorted(fraction_uses(ast.parse(source))) == sorted(strays + [(1, "Fraction import"), (4, "Fraction use")])
