@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eyd import EYDTuple, e_tilde, f_tilde
+from .eyd import ExtendedYoungDiagram, EYDTuple, e_tilde, f_tilde
 from .weights import Weight, is_reduced
 
 
@@ -68,14 +68,19 @@ def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:
     return crystal
 
 
+def _widths(sign: str, L: int) -> tuple[int, int]:
+    """Widths of Y_1 and Y_{s+1} in the extremal vector of w^+/-_L."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    return (L, L - 1) if sign == "+" else (L - 1, L)
+
+
 def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> set[EYDTuple]:
     """B_{w^+/-_L}(Lambda) by the width characterization on B_L(Lambda)."""
     if L <= 0:
         raise ValueError("the width characterization requires L > 0")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
     s, t = lam.a0, lam.a1
-    cap0, cap1 = (L, L - 1) if sign == "+" else (L - 1, L)
+    cap0, cap1 = _widths(sign, L)
     out = set()
     for T in generate_crystal(lam, L).vertices:
         if s >= 1 and T.diagrams[0].width > cap0:
@@ -90,14 +95,11 @@ def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:
     """The weight-w^+/-_L(Lambda) element: maximal-staircase diagrams."""
     if L <= 0:
         raise ValueError("extremal vectors are defined for L > 0")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    from .eyd import ExtendedYoungDiagram
+    w0, w1 = _widths(sign, L)
 
     def maximal(charge: int, width: int) -> ExtendedYoungDiagram:
         return ExtendedYoungDiagram.make(charge, [charge - width + j for j in range(width)])
 
-    w0, w1 = (L, L - 1) if sign == "+" else (L - 1, L)
     return EYDTuple(
         tuple(maximal(0, w0) for _ in range(lam.a0))
         + tuple(maximal(1, w1) for _ in range(lam.a1))

@@ -94,7 +94,10 @@ def parse_weyl_word(text: str):
     """Parse 'r1r0...' or the shorthand 'w+L' / 'w-L'."""
     text = text.strip()
     if text.startswith("w+") or text.startswith("w-"):
-        L = int(text[2:])
+        digits = text[2:]
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"cannot parse Weyl word {text!r}")
+        L = int(digits)
         return weyl_word_plus(L) if text[1] == "+" else weyl_word_minus(L)
     if not text:
         return ()

@@ -73,6 +73,10 @@ def test_parse_weyl_word():
         parse_weyl_word("r2")
     with pytest.raises(ValueError):
         parse_weyl_word("nonsense")
+    # only ASCII digits may follow w+ / w-
+    for text in ("w+x", "w+1_0", "w-", "w+-1", "w+ 3", "w+\u0663"):
+        with pytest.raises(ValueError, match="cannot parse Weyl word"):
+            parse_weyl_word(text)
 
 
 def test_fundamental_mod_two():
