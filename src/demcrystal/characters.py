@@ -224,31 +224,22 @@ def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
 
 
 def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
-    """The z^{-j} coefficient of the path character, in fermionic form."""
+    """The z^{-j} coefficient of the path character, in fermionic form.
+
+    It sums over the occupations of f^(k)_L(b, .) at the b that ch_via_f
+    reads at z^{-j}; x_1 .. x_{k-1} enter the Cartan-matrix part."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     s, t = lam.a0, lam.a1
     k = s + t
-    if k == 1:
-        # rank one has no Cartan-matrix part; use the configuration sum
-        eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
-        f = f_recursive(1, L, eL * (s - t) - 2 * j, eL1 * (s - t) - 2 * j)
-        return f.shift_quarters(2 * j)
+    unit = s if L % 2 == 0 else t
     out = ZERO
-    r, unit = (j, s) if L % 2 == 0 else (j + t, t)
-    # x_1 .. x_{k-1} and the slack x_0 + x_k; the congruence makes x_k exact
-    for comp in _compositions(k, L):
-        xs = comp[:-1]
-        wsum = sum(i * x for i, x in enumerate(xs, start=1))
-        if (wsum - r) % k:
-            continue
-        xk = L // 2 - (wsum - r) // k
-        x0 = comp[-1] - xk
-        if x0 < 0 or xk < 0:
-            continue
+    for full in occupation_vectors(k, L, epsilon_L(L) * (s - t) - 2 * j):
+        xs = full[1:k]
         # 4k e = 4 x(kC^{-1})x + 4j(j + t) - 4 (kC^{-1} x)_unit; the unit
         # column vanishes at unit = 0 and unit = k
         e4k = 4 * (_cartan_form(k, xs) + j * (j + t)
                    - sum(min(i, unit) * (k - max(i, unit)) * x for i, x in enumerate(xs, start=1)))
-        full = (x0,) + xs + (xk,)
         out = out + q_multinomial(L, full).shift_quarters(_quarters_over(e4k, k))
     return out
 
@@ -338,23 +329,14 @@ def real_character_check(lam: Weight, L: int) -> bool:
 
 def principal_rhs(k: int, L: int) -> BivariatePolynomial:
     """Sum over occupations of q^{2 x C^{-1} x + (k/2) S (S+1)} times the
-    q^2-argument multinomial, with k S = T = sum (k - 2i) x_i."""
+    q^2-argument multinomial, with k S = T = sum (k - 2i) x_i, the b of
+    the occupation."""
     out = ZERO
-    for xs in _compositions(k + 1, L):
-        T = sum((k - 2 * i) * x for i, x in enumerate(xs))
-        e4k = 2 * T * (T + k) + 8 * _cartan_form(k, xs[1:k])
-        out = out + q_multinomial(L, xs).scale_q_exponents(2).shift_quarters(_quarters_over(e4k, k))
+    for T in range(-L * k, L * k + 1, 2):
+        for xs in occupation_vectors(k, L, T):
+            e4k = 2 * T * (T + k) + 8 * _cartan_form(k, xs[1:k])
+            out = out + q_multinomial(L, xs).scale_q_exponents(2).shift_quarters(_quarters_over(e4k, k))
     return out
-
-
-def _compositions(n: int, total: int):
-    """Nonnegative integer n-vectors with sum exactly total."""
-    if n == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(n - 1, total - first):
-            yield (first,) + rest
 
 
 def principal_character_check(k: int, L: int) -> bool:
@@ -367,15 +349,17 @@ def principal_character_check(k: int, L: int) -> bool:
 def sanderson_rhs(k: int, L: int) -> BivariatePolynomial:
     """Sum over chains 0 <= i_1 <= ... <= i_k <= L with triangular q-powers.
 
-    A chain is read off its k + 1 gaps, a composition of L; the
-    q-multinomial of the gaps does not depend on their order."""
+    A chain is read off its k + 1 gaps, a composition of L, which is the
+    occupation of exactly one b; the q-multinomial of the gaps does not
+    depend on their order."""
     out = ZERO
-    for gaps in _compositions(k + 1, L):
-        e, i = 0, 0
-        for g in gaps[:k]:
-            i += g
-            e += i * (i + 1) // 2
-        out = out + q_multinomial(L, gaps).q_shift(e)
+    for b in range(-L * k, L * k + 1, 2):
+        for gaps in occupation_vectors(k, L, b):
+            e, i = 0, 0
+            for g in gaps[:k]:
+                i += g
+                e += i * (i + 1) // 2
+            out = out + q_multinomial(L, gaps).q_shift(e)
     return out
 
 

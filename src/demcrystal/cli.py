@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import characters as ch
 from . import verify
@@ -29,8 +30,9 @@ def _weight(args) -> Weight:
 
 
 class SystemExit2(Exception):
-    """Invalid input: ``main`` prints it on one line and exits 2.  Any other
-    exception is a fault of the program and propagates."""
+    """Invalid input: ``main`` prints it on one line and exits 2, as it does
+    for an ``--out`` it cannot open or write.  Any other exception is a
+    fault of the program and propagates."""
 
 
 def _word(text: str):
@@ -107,8 +109,11 @@ def cmd_verify(args, out) -> int:
     # every suite's grid is non-empty once both bounds are at least 1
     if args.max_k < 1 or args.max_L < 1:
         raise SystemExit2("verify requires --max-k >= 1 and --max-L >= 1")
+    # only the lemmas suite draws random cases
+    if args.seed is not None and args.suite != "lemmas":
+        raise SystemExit2("--seed applies only to --suite lemmas")
     ok = True
-    for check in verify.SUITES[args.suite](args.max_k, args.max_L, args.seed):
+    for check in verify.SUITES[args.suite](args.max_k, args.max_L, args.seed or 0):
         for failure in check.failures:
             out.write(f"FAIL {failure}\n")
         out.write(f"{check.label}: {'pass' if check.ok else 'FAIL'}\n")
@@ -149,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     sp.add_argument("--max-k", type=int, default=2)
     sp.add_argument("--max-L", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
 
     return p
@@ -167,19 +172,13 @@ def main(argv=None) -> int:
         "oracle": cmd_oracle,
         "verify": cmd_verify,
     }
+    # a sink that cannot be opened or written is a usage error, not a fault
     try:
-        sink = open(args.out, "w") if args.out else sys.stdout
-    except OSError as e:
+        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
+            return handlers[args.command](args, sink)
+    except (SystemExit2, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        return handlers[args.command](args, sink)
-    except SystemExit2 as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    finally:
-        if args.out:
-            sink.close()
 
 
 if __name__ == "__main__":

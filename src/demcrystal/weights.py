@@ -122,58 +122,10 @@ def apply_word(word, mu: Weight) -> Weight:
 
 
 # -- formal characters --------------------------------------------------------
+# A formal character, a finite integer combination of exponentials e^mu, is a
+# {Weight: int} dict with no zero coefficients.
 
-class FormalCharacter:
-    """Finite integer combination of formal exponentials e^mu, mu in P."""
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms=None):
-        clean: dict[Weight, int] = {}
-        if terms:
-            for mu, c in terms.items():
-                if c:
-                    clean[mu] = clean.get(mu, 0) + c
-                    if not clean[mu]:
-                        del clean[mu]
-        self._terms = clean
-
-    @classmethod
-    def exponential(cls, mu: Weight) -> "FormalCharacter":
-        return cls({mu: 1})
-
-    @property
-    def terms(self):
-        return self._terms
-
-    def __bool__(self):
-        return bool(self._terms)
-
-    def __eq__(self, other):
-        return isinstance(other, FormalCharacter) and self._terms == other._terms
-
-    def coefficient(self, mu: Weight) -> int:
-        return self._terms.get(mu, 0)
-
-    def dimension(self) -> int:
-        """Value at e -> 1, i.e. the total coefficient sum."""
-        return sum(self._terms.values())
-
-    def to_json_obj(self) -> list:
-        return [
-            {"a0": mu.a0, "a1": mu.a1, "d": mu.d, "coeff": c}
-            for mu, c in sorted(self._terms.items())
-        ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "FormalCharacter":
-        return cls({Weight(t["a0"], t["a1"], t["d"]): int(t["coeff"]) for t in obj})
-
-    def __repr__(self):
-        return f"FormalCharacter({self._terms!r})"
-
-
-def demazure_operator(i: int, chi: FormalCharacter) -> FormalCharacter:
+def demazure_operator(i: int, chi: dict[Weight, int]) -> dict[Weight, int]:
     """D_i on Z[P], via the geometric-sum closed form.
 
     For n = mu(h_i): sum of e^{mu - j alpha_i} over 0 <= j <= n when
@@ -189,7 +141,7 @@ def demazure_operator(i: int, chi: FormalCharacter) -> FormalCharacter:
         else:
             del out[mu]
 
-    for mu, c in chi.terms.items():
+    for mu, c in chi.items():
         n = pairing(mu, i)
         if n >= 0:
             for j in range(n + 1):
@@ -197,22 +149,22 @@ def demazure_operator(i: int, chi: FormalCharacter) -> FormalCharacter:
         elif n <= -2:
             for j in range(1, -n):
                 bump(mu + j * ALPHA[i], -c)
-    return FormalCharacter(out)
+    return out
 
 
-def demazure_character_oracle(lam: Weight, word) -> FormalCharacter:
+def demazure_character_oracle(lam: Weight, word) -> dict[Weight, int]:
     """ch E_w(Lambda) as D_{i_n} ... D_{i_1} e^Lambda."""
     if not lam.is_dominant():
         raise ValueError(f"{lam} is not a dominant weight with zero delta part")
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    chi = FormalCharacter.exponential(lam)
+    chi = {lam: 1}
     for i in reversed(word):
         chi = demazure_operator(i, chi)
     return chi
 
 
-def specialize(chi: FormalCharacter, lam: Weight) -> BivariatePolynomial:
+def specialize(chi: dict[Weight, int], lam: Weight) -> BivariatePolynomial:
     """Send e^{Lambda + j alpha_1 - n delta} to z^{-j} q^n.
 
     This is the substitution e^{-alpha_1} -> z, e^{-delta} -> q applied
@@ -220,7 +172,7 @@ def specialize(chi: FormalCharacter, lam: Weight) -> BivariatePolynomial:
     Lambda + Z alpha_1 + Z delta.
     """
     out: dict[tuple[int, int], int] = {}
-    for mu, c in chi.terms.items():
+    for mu, c in chi.items():
         x = mu - lam
         if x.a0 != -x.a1 or x.a1 % 2 != 0:
             raise ValueError(f"term e^{mu} is not of the form Lambda + j*alpha1 - n*delta")

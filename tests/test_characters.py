@@ -1,8 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from demcrystal import characters
 from demcrystal.characters import (
     F_fermionic,
     ch_path_bruteforce,
@@ -15,6 +17,7 @@ from demcrystal.characters import (
     f_rank_reduction,
     f_recursive,
     is_weakly_admissible,
+    occupation_vectors,
     principal_character_check,
     resolve_mu_nu,
     sanderson_identity_check,
@@ -160,6 +163,45 @@ def test_fermionic_F_vanishes_outside_support():
     lam = Weight(2, 1, 0)
     assert F_fermionic(lam, 2, 50) == ZERO
     assert F_fermionic(lam, 2, -50) == ZERO
+    with pytest.raises(ValueError):
+        F_fermionic(Weight(1, 0, 0), -1, 0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_occupation_vectors_against_product(k):
+    """Every fermionic sum walks occupation_vectors: for each b it lists,
+    once each and in lexicographic order, the compositions (x_0..x_k) of L
+    with sum a*x_a = (Lk - b)/2, so over all b it lists every composition."""
+    for L in range(7):
+        by_b = {}
+        for xs in itertools.product(range(L + 1), repeat=k + 1):
+            if sum(xs) == L:
+                by_b.setdefault(L * k - 2 * sum(a * x for a, x in enumerate(xs)), []).append(xs)
+        union = []
+        for b in range(-L * k - 2, L * k + 3):
+            got = occupation_vectors(k, L, b)
+            assert got == by_b.get(b, [])
+            if (L * k - b) % 2 or abs(b) > L * k:
+                assert got == []
+            union += got
+        assert sorted(union) == sorted(itertools.chain(*by_b.values()))
+
+
+def test_F_sum_needs_no_f_route(monkeypatch):
+    """The fermionic F-sum stands on its own: with every f route refusing
+    to run it still matches the path brute force."""
+    def refuse(*args):
+        raise AssertionError("F_fermionic called an f route")
+
+    for name in ("f_recursive", "f_bosonic", "f_fermionic"):
+        monkeypatch.setattr(characters, name, refuse)
+    for lam in WEIGHTS:
+        k = lam.level
+        for L in range(5):
+            total = ZERO
+            for j in range(-L * k - 1, L * k + 2):
+                total = total + F_fermionic(lam, L, j).z_shift(-j)
+            assert total == ch_path_bruteforce(lam, L)
 
 
 def test_demazure_anchor():

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -119,6 +120,9 @@ def test_usage_errors(capsys):
     assert main(["oracle", "--s", "1", "--t", "0", "--word", "r0", "--format", "dot"]) == 2
     assert main(["character", "--s", "1", "--t", "0", "-L", "2", "--word", "r0r1"]) == 2
     assert main(["crystal", "--s", "1", "--t", "0", "-L", "5", "--word", "r0"]) == 2
+    # only the lemmas suite draws random cases
+    assert main(["verify", "--suite", "sanderson", "--seed", "5"]) == 2
+    assert main(["verify", "--suite", "boson-fermion", "--seed", "0"]) == 2
     capsys.readouterr()
 
 
@@ -149,6 +153,12 @@ def test_negative_length_rejected(argv, capsys):
 )
 def test_unwritable_out(argv, tmp_path, capsys):
     assert_usage_error(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_write_to_out(capsys):
+    """A write that fails once the sink is open is a usage error too."""
+    assert_usage_error(["character", "--s", "1", "-L", "2", "--out", "/dev/full"], capsys)
 
 
 @pytest.mark.parametrize(

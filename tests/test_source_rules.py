@@ -1,7 +1,8 @@
 """The library's exactness contract, checked on its source: no ``assert``
 statement (``python -O`` strips them), no float literal, no ``float(`` call
 and no true division ``/`` anywhere in ``src/demcrystal``, and no ``Fraction``
-outside ``qlaurent._quarters``."""
+outside ``qlaurent._quarters``; and no route to f^(k)_L or to the
+fermionic F-sum built on another of them."""
 import ast
 from pathlib import Path
 
@@ -94,3 +95,47 @@ def test_fraction_rule_catches_the_pattern():
     assert sorted(fraction_uses(ast.parse(source), "_quarters")) == strays
     # without the exemption the owner's import and body are strays too
     assert sorted(fraction_uses(ast.parse(source))) == sorted(strays + [(1, "Fraction import"), (4, "Fraction use")])
+
+
+# The routes that exist to check each other may not be built on each other;
+# f_rank_reduction and ch_via_f are built on f by definition and are exempt.
+INDEPENDENT_ROUTES = ("f_recursive", "f_bosonic", "f_fermionic", "F_fermionic")
+
+
+def route_crossings(tree):
+    """(line, what) for each mention, inside an independent route's
+    definition, of another independent route or of ch_via_f."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in INDEPENDENT_ROUTES:
+            banned = set(INDEPENDENT_ROUTES + ("ch_via_f",)) - {node.name}
+            for inner in ast.walk(node):
+                # a Name's id or an Attribute's attr
+                name = getattr(inner, "id", None) or getattr(inner, "attr", None)
+                if name in banned:
+                    yield inner.lineno, f"{node.name} names {name}"
+
+
+def test_routes_stay_independent():
+    found, defined = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {what}" for line, what in route_crossings(tree)]
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert found == []
+    # the rule guards routes that exist
+    assert set(INDEPENDENT_ROUTES) <= defined
+
+
+def test_route_rule_catches_the_pattern():
+    source = (
+        "def f_recursive(k):\n    return f_recursive(k - 1)\n"
+        "def F_fermionic(lam):\n    return ch.f_recursive(1, lam)\n"
+        "def f_bosonic(k, impl=f_fermionic):\n    return ch_via_f(k, impl)\n"
+        "def ch_via_f(lam, f_impl=f_recursive):\n    return f_impl(lam)\n"
+        "def f_rank_reduction(k):\n    return f_recursive(k - 1)\n"
+    )
+    assert sorted(route_crossings(ast.parse(source))) == [
+        (4, "F_fermionic names f_recursive"),
+        (5, "f_bosonic names f_fermionic"),
+        (6, "f_bosonic names ch_via_f"),
+    ]

@@ -10,7 +10,6 @@ from demcrystal.weights import (
     LAMBDA0,
     LAMBDA1,
     RHO,
-    FormalCharacter,
     Weight,
     apply_word,
     demazure_character_oracle,
@@ -87,32 +86,27 @@ def test_fundamental_mod_two():
 
 def test_demazure_operator_branches():
     # n >= 0: string of n+1 terms
-    chi = FormalCharacter.exponential(Weight(2, 0, 0))
+    chi = {Weight(2, 0, 0): 1}
     d = demazure_operator(0, chi)
-    assert d.dimension() == 3
-    assert d.coefficient(Weight(2, 0, 0)) == 1
-    assert d.coefficient(Weight(2, 0, 0) - ALPHA0) == 1
-    assert d.coefficient(Weight(2, 0, 0) - 2 * ALPHA0) == 1
+    assert sum(d.values()) == 3
+    assert d.get(Weight(2, 0, 0), 0) == 1
+    assert d.get(Weight(2, 0, 0) - ALPHA0, 0) == 1
+    assert d.get(Weight(2, 0, 0) - 2 * ALPHA0, 0) == 1
     # n = -1: kills the term
-    mu = Weight(2, 0, 0) - ALPHA0  # pairing with alpha0 check
-    chi = FormalCharacter.exponential(reflect(0, Weight(2, 0, 0)) + ALPHA0)
-    # pick mu with <mu,h_0> = -1 directly
     mu = Weight(-1, 1, 0)
     assert pairing(mu, 0) == -1
-    assert not demazure_operator(0, FormalCharacter.exponential(mu))
+    assert not demazure_operator(0, {mu: 1})
     # n <= -2: negative string
     mu = Weight(-2, 0, 0)
-    d = demazure_operator(0, FormalCharacter.exponential(mu))
-    assert d.coefficient(mu + ALPHA0) == -1
-    assert d.dimension() == -1
+    d = demazure_operator(0, {mu: 1})
+    assert d.get(mu + ALPHA0, 0) == -1
+    assert sum(d.values()) == -1
 
 
 def test_demazure_operator_idempotent():
     rng = random.Random(2)
     for _ in range(40):
-        chi = FormalCharacter.exponential(
-            Weight(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3))
-        )
+        chi = {Weight(rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)): 1}
         for i in (0, 1):
             once = demazure_operator(i, chi)
             assert demazure_operator(i, once) == once
@@ -121,18 +115,18 @@ def test_demazure_operator_idempotent():
 def test_oracle_anchor_dimension():
     lam = Weight(2, 0, 0)
     chi = demazure_character_oracle(lam, (1, 0))
-    assert chi.dimension() == 9
-    assert chi.coefficient(lam) == 1
+    assert sum(chi.values()) == 9
+    assert chi.get(lam, 0) == 1
     # extremal weight space is one dimensional
     w_lam = apply_word((1, 0), lam)
-    assert chi.coefficient(w_lam) == 1
+    assert chi.get(w_lam, 0) == 1
 
 
 def test_oracle_positive_support():
     for lam in (Weight(1, 0, 0), Weight(1, 1, 0), Weight(2, 1, 0)):
         for word in (weyl_word_plus(3), weyl_word_minus(3)):
             chi = demazure_character_oracle(lam, word)
-            assert all(c >= 1 for c in chi.terms.values())
+            assert all(c >= 1 for c in chi.values())
 
 
 def test_oracle_support_monotone():
@@ -140,7 +134,7 @@ def test_oracle_support_monotone():
     for L in (1, 2, 3):
         lo = demazure_character_oracle(lam, weyl_word_plus(L))
         hi = demazure_character_oracle(lam, weyl_word_plus(L + 1))
-        assert set(lo.terms) <= set(hi.terms)
+        assert set(lo) <= set(hi)
 
 
 def test_oracle_rejects_bad_input():
@@ -156,8 +150,3 @@ def test_specialize_anchor():
     poly = specialize(chi, lam)
     assert poly == ONE + zpow(-1) * qpow(1) + zpow(-2) * qpow(2)
 
-
-def test_formal_character_roundtrip():
-    lam = Weight(1, 1, 0)
-    chi = demazure_character_oracle(lam, weyl_word_plus(2))
-    assert FormalCharacter.from_json_obj(chi.to_json_obj()) == chi
