@@ -301,6 +301,8 @@ def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomia
 
 def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """Specialized Demazure-operator character for the word w^{+/-}_L."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
     word = weyl_word_plus(L) if sign == "+" else weyl_word_minus(L)
     return specialize(demazure_character_oracle(lam, word), lam)
 
@@ -331,6 +333,8 @@ def principal_rhs(k: int, L: int) -> BivariatePolynomial:
     """Sum over occupations of q^{2 x C^{-1} x + (k/2) S (S+1)} times the
     q^2-argument multinomial, with k S = T = sum (k - 2i) x_i, the b of
     the occupation."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     out = ZERO
     for T in range(-L * k, L * k + 1, 2):
         for xs in occupation_vectors(k, L, T):
@@ -352,6 +356,8 @@ def sanderson_rhs(k: int, L: int) -> BivariatePolynomial:
     A chain is read off its k + 1 gaps, a composition of L, which is the
     occupation of exactly one b; the q-multinomial of the gaps does not
     depend on their order."""
+    if L < 0:
+        raise ValueError("requires L >= 0")
     out = ZERO
     for b in range(-L * k, L * k + 1, 2):
         for gaps in occupation_vectors(k, L, b):

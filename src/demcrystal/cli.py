@@ -109,11 +109,8 @@ def cmd_verify(args, out) -> int:
     # every suite's grid is non-empty once both bounds are at least 1
     if args.max_k < 1 or args.max_L < 1:
         raise SystemExit2("verify requires --max-k >= 1 and --max-L >= 1")
-    # only the lemmas suite draws random cases
-    if args.seed is not None and args.suite != "lemmas":
-        raise SystemExit2("--seed applies only to --suite lemmas")
     ok = True
-    for check in verify.SUITES[args.suite](args.max_k, args.max_L, args.seed or 0):
+    for check in verify.SUITES[args.suite](args.max_k, args.max_L):
         for failure in check.failures:
             out.write(f"FAIL {failure}\n")
         out.write(f"{check.label}: {'pass' if check.ok else 'FAIL'}\n")
@@ -154,7 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
     sp.add_argument("--max-k", type=int, default=2)
     sp.add_argument("--max-L", type=int, default=4)
-    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--out", type=str, default=None)
 
     return p

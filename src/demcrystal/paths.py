@@ -44,16 +44,13 @@ def h_local(k: int, m: int, m2: int) -> int:
 
 
 def energy(p: tuple[int, ...], lam: Weight) -> int:
-    """Weighted sum of local-energy differences against the ground state,
-    with the forced letter m_L = g_L appended to both words."""
+    """Weighted sum of local energies with the forced letter m_L = g_L
+    appended, less the ground state's sum in closed form."""
     k = lam.level
     L = len(p)
-    gs = ground_state_path(lam, L + 1)
-    ms = p + gs[L:]
-    total = 0
-    for j in range(1, L + 1):
-        total += j * (h_local(k, ms[j - 1], ms[j]) - h_local(k, gs[j - 1], gs[j]))
-    return total
+    ms = p + ground_state_path(lam, L + 1)[L:]
+    total = sum(j * h_local(k, ms[j - 1], ms[j]) for j in range(1, L + 1))
+    return total - ground_state_H_sum(lam, L)
 
 
 def _start_coefficient(p: tuple[int, ...], lam: Weight) -> int:

@@ -100,8 +100,8 @@ def test_a5_specializations():
 
 
 def test_a6_structural_invariants():
-    # ground-state energy closed form
-    ok, first_bad = run_engine({"lemmas": 182}, verify.gse(4, 12))
+    # ground-state energy closed form and the Gaussian-polynomial lemmas
+    ok, first_bad = run_engine({"lemmas": 1883}, verify.lemmas(4, 12))
     # width properties over the A2 crystal range
     for lam in verify.weights_up_to(3):
         s = lam.a0

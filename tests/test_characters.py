@@ -1,10 +1,9 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
-from demcrystal import characters
+from demcrystal import characters, verify
 from demcrystal.characters import (
     F_fermionic,
     ch_path_bruteforce,
@@ -19,26 +18,22 @@ from demcrystal.characters import (
     is_weakly_admissible,
     occupation_vectors,
     principal_character_check,
+    principal_rhs,
     resolve_mu_nu,
     sanderson_identity_check,
+    sanderson_rhs,
 )
 from demcrystal.qlaurent import ONE, ZERO, gaussian, qpow, zpow
 from demcrystal.weights import Weight
 
-WEIGHTS = [
-    Weight(s, t, 0)
-    for s in range(0, 4)
-    for t in range(0, 4 - s)
-    if s + t >= 1
-]
+WEIGHTS = list(verify.weights_up_to(3))
 HIGH_WEIGHTS = [Weight(s, k - s, 0) for k in (4, 5) for s in range(k + 1)]
 
 
-def admissible_pairs(k, L, c_bound_extra=1):
+def admissible_pairs(k, L):
     for b in range(-L * k, L * k + 1):
         for c in range(b - k, b + k + 1, 2):
-            if abs(c) <= (L + c_bound_extra) * k:
-                yield b, c
+            yield b, c
 
 
 def test_f_anchors():
@@ -47,16 +42,6 @@ def test_f_anchors():
     assert f_recursive(1, 0, 0, 1) == ONE
     assert f_recursive(1, 0, 0, 5) == ZERO  # inadmissible pair
     assert f_recursive(2, 2, 0, 0) == ONE + 2 * qpow(1)
-
-
-def test_f_support_and_parity():
-    for k in (1, 2, 3):
-        for L in (0, 1, 2, 3):
-            for b in range(-L * k - k, L * k + k + 1):
-                for c in range(b - k, b + k + 1, 2):
-                    f = f_recursive(k, L, b, c)
-                    if abs(b) > L * k or (b - L * k) % 2 != 0:
-                        assert f == ZERO
     assert f_recursive(2, 2, 5, 5) == ZERO  # inadmissible pair
 
 
@@ -65,14 +50,6 @@ def test_f_reflection_symmetry():
         for L in (1, 2, 3, 4):
             for b, c in admissible_pairs(k, L):
                 assert f_recursive(k, L, b, c) == f_recursive(k, L, -b, -c)
-
-
-@pytest.mark.parametrize("k,L", [(1, 3), (1, 5), (2, 3), (2, 4), (3, 3)])
-def test_three_routes_agree(k, L):
-    for b, c in admissible_pairs(k, L):
-        fr = f_recursive(k, L, b, c)
-        assert f_bosonic(k, L, b, c) == fr
-        assert f_fermionic(k, L, b, c) == fr
 
 
 def test_mu_nu_ambiguity_choices_agree():
@@ -214,13 +191,11 @@ def test_demazure_anchor():
     assert chi.value_at_one() == 9
 
 
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_demazure_character_triangle(L):
-    for lam in WEIGHTS:
-        for sign in ("+", "-"):
-            a = demazure_ch(lam, sign, L)
-            assert a == demazure_ch_bruteforce(lam, sign, L)
-            assert a == demazure_ch_oracle(lam, sign, L)
+def test_demazure_routes_reject_unknown_sign():
+    lam = Weight(1, 1, 0)
+    for route in (demazure_ch, demazure_ch_bruteforce, demazure_ch_oracle):
+        with pytest.raises(ValueError, match="sign must be"):
+            route(lam, "x", 2)
 
 
 def test_demazure_union_sum():
@@ -246,19 +221,14 @@ def test_principal_and_sanderson_high_level(k):
             assert principal_character_check(k, L)
 
 
+def test_principal_and_sanderson_reject_negative_L():
+    # no silent zero, and so no vacuous identity, below L = 0
+    for route in (principal_rhs, sanderson_rhs, sanderson_identity_check):
+        with pytest.raises(ValueError, match="requires L >= 0"):
+            route(2, -1)
+
+
 def test_weak_admissibility():
     assert is_weakly_admissible(2, 0, 2)
     assert not is_weakly_admissible(2, 0, 1)
     assert not is_weakly_admissible(2, 0, 4)
-
-
-def test_random_consistency():
-    rng = random.Random(41)
-    for _ in range(60):
-        k = rng.randint(1, 3)
-        L = rng.randint(1, 4)
-        b = rng.randint(-L * k, L * k)
-        c = rng.choice(range(b - k, b + k + 1, 2))
-        fr = f_recursive(k, L, b, c)
-        assert f_fermionic(k, L, b, c) == fr
-        assert f_bosonic(k, L, b, c) == fr

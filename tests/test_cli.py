@@ -120,9 +120,10 @@ def test_usage_errors(capsys):
     assert main(["oracle", "--s", "1", "--t", "0", "--word", "r0", "--format", "dot"]) == 2
     assert main(["character", "--s", "1", "--t", "0", "-L", "2", "--word", "r0r1"]) == 2
     assert main(["crystal", "--s", "1", "--t", "0", "-L", "5", "--word", "r0"]) == 2
-    # only the lemmas suite draws random cases
+    # no suite takes a seed: every grid is walked in full
     assert main(["verify", "--suite", "sanderson", "--seed", "5"]) == 2
     assert main(["verify", "--suite", "boson-fermion", "--seed", "0"]) == 2
+    assert main(["verify", "--suite", "lemmas", "--seed", "5"]) == 2
     capsys.readouterr()
 
 

@@ -1,10 +1,8 @@
-import json
-
 import pytest
 
+from demcrystal import verify
 from demcrystal.demazure import (
     demazure_crystal_direct,
-    demazure_crystal_recursive,
     export_graph,
     extremal_vector,
     generate_crystal,
@@ -19,12 +17,7 @@ from demcrystal.weights import (
     weyl_word_plus,
 )
 
-WEIGHTS = [
-    Weight(s, t, 0)
-    for s in range(0, 4)
-    for t in range(0, 4 - s)
-    if s + t >= 1
-]
+WEIGHTS = list(verify.weights_up_to(3))
 
 
 def test_generate_crystal_anchor():
@@ -34,36 +27,6 @@ def test_generate_crystal_anchor():
     assert len(generate_crystal(lam, 0).vertices) == 1
     with pytest.raises(ValueError):
         generate_crystal(lam, -1)
-
-
-@pytest.mark.parametrize("L", [1, 2, 3, 4])
-def test_recursive_equals_direct(L):
-    for lam in WEIGHTS:
-        assert demazure_crystal_recursive(lam, weyl_word_plus(L)) == \
-            demazure_crystal_direct(lam, "+", L)
-        assert demazure_crystal_recursive(lam, weyl_word_minus(L)) == \
-            demazure_crystal_direct(lam, "-", L)
-
-
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_union_intersection(L):
-    for lam in WEIGHTS:
-        plus = demazure_crystal_direct(lam, "+", L)
-        minus = demazure_crystal_direct(lam, "-", L)
-        assert plus | minus == generate_crystal(lam, L).vertices
-        assert plus & minus == generate_crystal(lam, L - 1).vertices
-
-
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_extreme_level_weights(L):
-    # for Lambda = k Lambda_0 the plus crystal is everything; dually for minus
-    for k in (1, 2, 3):
-        lam0 = Weight(k, 0, 0)
-        assert demazure_crystal_direct(lam0, "+", L) == \
-            generate_crystal(lam0, L).vertices
-        lam1 = Weight(0, k, 0)
-        assert demazure_crystal_direct(lam1, "-", L) == \
-            generate_crystal(lam1, L).vertices
 
 
 def test_dimension_matches_oracle():
@@ -91,34 +54,6 @@ def test_monotone_inclusion():
                 demazure_crystal_direct(lam, "+", L + 1)
             assert demazure_crystal_direct(lam, "-", L) <= \
                 demazure_crystal_direct(lam, "-", L + 1)
-
-
-def test_width_distinct_property():
-    # nonvacuum vertices with s,t >= 1 have |Y_1| != |Y_{s+1}|
-    for lam in WEIGHTS:
-        s, t = lam.a0, lam.a1
-        if s < 1 or t < 1:
-            continue
-        for T in generate_crystal(lam, 4).vertices:
-            if T.is_vacuum():
-                continue
-            w = T.widths()
-            assert w[0] != w[s]
-
-
-def test_width_growth_bound():
-    # one application of f-tilde grows each width by at most 1
-    from demcrystal.eyd import f_tilde
-
-    for lam in WEIGHTS:
-        for T in generate_crystal(lam, 3).vertices:
-            for i in (0, 1):
-                U = f_tilde(i, T)
-                if U is None:
-                    continue
-                assert all(
-                    wu <= wt + 1 for wu, wt in zip(U.widths(), T.widths())
-                )
 
 
 def test_export_json_roundtrip():

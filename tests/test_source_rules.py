@@ -1,8 +1,9 @@
 """The library's exactness contract, checked on its source: no ``assert``
-statement (``python -O`` strips them), no float literal, no ``float(`` call
-and no true division ``/`` anywhere in ``src/demcrystal``, and no ``Fraction``
-outside ``qlaurent._quarters``; and no route to f^(k)_L or to the
-fermionic F-sum built on another of them."""
+statement (``python -O`` strips them), no float literal, no ``float(`` call,
+no true division ``/`` and no ``random`` import (every result and every
+verification grid is deterministic) anywhere in ``src/demcrystal``, and no
+``Fraction`` outside ``qlaurent._quarters``; and no route to f^(k)_L or to
+the fermionic F-sum built on another of them."""
 import ast
 from pathlib import Path
 
@@ -21,6 +22,10 @@ def violations(tree):
             yield node.lineno, "float() call"
         elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
             yield node.lineno, "true division"
+        elif isinstance(node, ast.Import) and any(a.name == "random" for a in node.names) or (
+            isinstance(node, ast.ImportFrom) and node.module == "random"
+        ):
+            yield node.lineno, "random import"
 
 
 def test_sources_found():
@@ -34,9 +39,13 @@ def test_exact_and_optimization_safe(path):
 
 
 def test_rules_catch_each_pattern():
-    source = "assert x\ny = 0.5\nz = float(1)\nw = 1 / 2\nw /= 3\nv = 7 // 2\n"
+    source = (
+        "assert x\ny = 0.5\nz = float(1)\nw = 1 / 2\nw /= 3\nv = 7 // 2\n"
+        "import os, random as r\nfrom random import Random\nimport secrets\nfrom . import randomness\n"
+    )
     assert [what for _, what in sorted(violations(ast.parse(source)))] == [
         "assert statement", "float literal 0.5", "float() call", "true division", "true division",
+        "random import", "random import",
     ]
 
 
