@@ -198,7 +198,7 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
 def ch_path_bruteforce(lam: Weight, L: int) -> BivariatePolynomial:
     """Sum of z^{-j} q^{E(p)} over all of P_L(Lambda)."""
     return BivariatePolynomial(
-        Counter((-z_exponent(p, lam), energy(p, lam)) for p in enumerate_paths(lam, L))
+        Counter((-z_exponent(p, lam), 4 * energy(p, lam)) for p in enumerate_paths(lam, L))
     )
 
 
@@ -207,6 +207,8 @@ def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
     to integers, anything else raises."""
     if L < 0:
         raise ValueError("requires L >= 0")
+    if not lam.is_dominant() or lam.level < 1:
+        raise ValueError("requires a dominant weight of level >= 1")
     s, t = lam.a0, lam.a1
     k = s + t
     eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
@@ -230,6 +232,8 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
     reads at z^{-j}; x_1 .. x_{k-1} enter the Cartan-matrix part."""
     if L < 0:
         raise ValueError("requires L >= 0")
+    if not lam.is_dominant() or lam.level < 1:
+        raise ValueError("requires a dominant weight of level >= 1")
     s, t = lam.a0, lam.a1
     k = s + t
     unit = s if L % 2 == 0 else t
@@ -276,6 +280,8 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
         raise ValueError("Demazure characters are computed for L > 0")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if not lam.is_dominant() or lam.level < 1:
+        raise ValueError("requires a dominant weight of level >= 1")
     s, t = lam.a0, lam.a1
     k = s + t
     e = epsilon_L(L)
@@ -296,7 +302,7 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
 def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """Sum of z^{-j} q^{E} over the Demazure crystal via the path realization."""
     paths = (pi(T, L) for T in demazure_crystal_direct(lam, sign, L))
-    return BivariatePolynomial(Counter((-z_exponent(p, lam), energy(p, lam)) for p in paths))
+    return BivariatePolynomial(Counter((-z_exponent(p, lam), 4 * energy(p, lam)) for p in paths))
 
 
 def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:

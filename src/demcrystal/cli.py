@@ -15,7 +15,6 @@ from .weights import (
     demazure_character_oracle,
     parse_weyl_word,
     specialize,
-    weyl_word_plus,
 )
 
 EXIT_OK = 0
@@ -49,15 +48,15 @@ def _write_character(poly, fmt: str, out) -> int:
     return EXIT_OK
 
 
-# route -> character of Lambda; the oracle reads the Weyl word, the others L
+# route -> character of Lambda at L; the oracle evaluates w^+_L
 ROUTES = {
-    "path": lambda lam, L, word: ch.ch_path_bruteforce(lam, L),
-    "recursive": lambda lam, L, word: ch.ch_via_f(lam, L, ch.f_recursive),
-    "bosonic": lambda lam, L, word: ch.ch_via_f(lam, L, ch.f_bosonic),
-    "fermionic": lambda lam, L, word: ch.ch_via_f(lam, L, ch.f_fermionic),
-    "demazure+": lambda lam, L, word: ch.demazure_ch(lam, "+", L),
-    "demazure-": lambda lam, L, word: ch.demazure_ch(lam, "-", L),
-    "oracle": lambda lam, L, word: specialize(demazure_character_oracle(lam, word), lam),
+    "path": lambda lam, L: ch.ch_path_bruteforce(lam, L),
+    "recursive": lambda lam, L: ch.ch_via_f(lam, L, ch.f_recursive),
+    "bosonic": lambda lam, L: ch.ch_via_f(lam, L, ch.f_bosonic),
+    "fermionic": lambda lam, L: ch.ch_via_f(lam, L, ch.f_fermionic),
+    "demazure+": lambda lam, L: ch.demazure_ch(lam, "+", L),
+    "demazure-": lambda lam, L: ch.demazure_ch(lam, "-", L),
+    "oracle": lambda lam, L: ch.demazure_ch_oracle(lam, "+", L),
 }
 # the bosonic double sum and the Demazure formulas start at L = 1
 STARTS_AT_L1 = ("bosonic", "demazure+", "demazure-")
@@ -70,9 +69,7 @@ def cmd_character(args, out) -> int:
     least = 1 if args.route in STARTS_AT_L1 else 0
     if args.L < least:
         raise SystemExit2(f"route {args.route} requires L >= {least}")
-    # the oracle route evaluates w^+_L
-    poly = ROUTES[args.route](lam, args.L, weyl_word_plus(args.L))
-    return _write_character(poly, args.format, out)
+    return _write_character(ROUTES[args.route](lam, args.L), args.format, out)
 
 
 def cmd_oracle(args, out) -> int:
@@ -80,7 +77,7 @@ def cmd_oracle(args, out) -> int:
     if not args.word:
         raise SystemExit2("oracle requires --word")
     word = _word(args.word)
-    return _write_character(ROUTES["oracle"](lam, len(word), word), args.format, out)
+    return _write_character(specialize(demazure_character_oracle(lam, word), lam), args.format, out)
 
 
 def cmd_crystal(args, out) -> int:

@@ -103,12 +103,10 @@ def enumerate_paths(lam: Weight, L: int):
 
 # -- patterns and lifts -------------------------------------------------------
 
-def pi(T: EYDTuple, L: int | None = None) -> tuple[int, ...]:
+def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     """Project a pattern to its path: column j contributes the letter
     counting the diagrams with t_{ij} + j even."""
     lam = T.highest_weight()
-    if L is None:
-        L = max(Y.width for Y in T.diagrams)
     if any(Y.width > L for Y in T.diagrams):
         raise ValueError("window length L is smaller than a diagram width")
     columns = zip(*(Y.row(L) for Y in T.diagrams))
@@ -119,30 +117,17 @@ def pi(T: EYDTuple, L: int | None = None) -> tuple[int, ...]:
 def _max_column(caps, m: int, parity: int, k: int):
     """Componentwise-maximal nondecreasing column (a_1..a_k) with
     a_k <= a_1 + 2, a_i <= caps[i], and exactly m entries of the given
-    parity.  Returns None when no valid column exists."""
-    best = None
-    found = []
-    for a1 in range(caps[0], caps[0] - 4, -1):
-        ceiling = [min(c, a1 + 2) for c in caps]
-        if any(c < a1 for c in ceiling):
-            continue
+    parity.  Returns None when no valid column exists.
 
-        def rec(i, prev, cnt, acc):
-            if cnt > m or cnt + (k - i) < m:
-                return
-            if i == k:
-                found.append(tuple(acc))
-                return
-            for v in range(ceiling[i], prev - 1, -1):
-                rec(i + 1, v, cnt + (1 if v % 2 == parity else 0), acc + [v])
-
-        rec(1, a1, 1 if a1 % 2 == parity else 0, [a1])
-    if not found:
-        return None
-    best = tuple(max(col[i] for col in found) for i in range(k))
-    if best not in found:
-        raise AssertionError("column-wise maximum is not itself a valid column")
-    return best
+    Such a column is n0 >= 1 entries v, n1 entries v+1 and the rest v+2.
+    The parity count fixes n1, and the caps, which are nondecreasing, give
+    the least n0; the first v from caps[0] down that fits is the maximum."""
+    for v in range(caps[0], caps[0] - 4, -1):
+        n1 = m if (v - parity) % 2 else k - m
+        n0 = max(1, sum(c < v + 1 for c in caps), sum(c < v + 2 for c in caps) - n1)
+        if n0 + n1 <= k:
+            return (v,) * n0 + (v + 1,) * n1 + (v + 2,) * (k - n0 - n1)
+    return None
 
 
 def highest_lift(p: tuple[int, ...], lam: Weight) -> EYDTuple:
@@ -153,20 +138,22 @@ def highest_lift(p: tuple[int, ...], lam: Weight) -> EYDTuple:
     compatible with its right neighbor, the inclusion chain and the step
     letter of the path.
     """
+    if not lam.is_dominant() or lam.level < 1:
+        raise ValueError("requires a dominant weight of level >= 1")
     s, t = lam.a0, lam.a1
     k = s + t
     L = len(p)
     ms = from_letters(lam, L, p)
-    caps = [0] * s + [1] * t
+    charges = [0] * s + [1] * t
+    caps = charges
     cols = []
     for j in range(L - 1, -1, -1):
         col = _max_column(caps, ms[j], j % 2, k)
         if col is None:
             raise AssertionError(f"no admissible lift column at position {j}")
         cols.append(col)
-        caps = list(col)
+        caps = col
     cols.reverse()
-    charges = [0] * s + [1] * t
     diagrams = []
     for i in range(k):
         diagrams.append(

@@ -1,12 +1,13 @@
 """Exact Laurent polynomials in z and q over the integers.
 
 z-exponents are integers and q-exponents lie in (1/4)Z.  Internally a
-q-exponent r is the int 4r, its count of quarters.  Rational q-exponents
-are accepted only at the public boundary (``term``, ``qpow``, ``q_shift``,
-``coefficient``, ``__init__``, ``from_json_obj``), where ``_quarters``
-converts them and raises ValueError for any denominator that does not
-divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
-fractions.
+q-exponent r is the int 4r, its count of quarters, and the constructor
+takes terms in that form, {(z-exponent, 4r): coefficient} with int keys,
+the form ``terms`` returns.  Rational q-exponents are accepted only at the
+public boundary (``term``, ``qpow``, ``q_shift``, ``coefficient``,
+``from_json_obj``), where ``_quarters`` converts them and raises ValueError
+for any denominator that does not divide 4.  ``to_text`` and
+``to_json_obj`` print quarters back as reduced fractions.
 
 Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
 z-power a are stored as one pair ``(lo, p)``: lo is the lowest quarter
@@ -129,30 +130,20 @@ class BivariatePolynomial:
     __slots__ = ("_rows", "_norm", "_bits", "_hash")
 
     def __init__(self, terms=None):
-        out: dict[tuple[int, int], int] = {}
-        if terms:
-            for (ze, qe), c in terms.items():
-                key = (int(ze), _quarters(qe))
-                out[key] = out.get(key, 0) + c
-        p = BivariatePolynomial._from_quarters(out)
-        self._rows, self._norm, self._bits, self._hash = p._rows, p._norm, p._bits, None
-
-    @classmethod
-    def _from_quarters(cls, terms: dict) -> "BivariatePolynomial":
-        """Trusted constructor: keys are already (z-exponent, 4 * q-exponent)
-        int pairs.  Drops zero coefficients and skips all other checks."""
+        """The polynomial with terms {(z-exponent, 4 * q-exponent): coefficient},
+        the int keys ``terms`` returns; zero coefficients are dropped."""
         by_z: dict[int, dict[int, int]] = {}
         norm = 0
-        for (z, q4), c in terms.items():
+        for (z, q4), c in (terms or {}).items():
             if c:
-                by_z.setdefault(z, {})[q4] = c
+                by_z.setdefault(index(z), {})[index(q4)] = c
                 norm += abs(c)
         bits = _width(norm)
         rows = {}
         for z, row in by_z.items():
             lo = min(row)
             rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
-        return _poly(rows, norm, bits)
+        self._rows, self._norm, self._bits, self._hash = rows, norm, bits, None
 
     def _at(self, bits: int) -> dict:
         """The rows re-packed at a digit width bits >= self._bits."""
@@ -163,16 +154,8 @@ class BivariatePolynomial:
     # -- construction helpers -------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "BivariatePolynomial":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "BivariatePolynomial":
-        return cls._from_quarters({(0, 0): 1})
-
-    @classmethod
     def term(cls, coeff: int, ze: int = 0, qe=0) -> "BivariatePolynomial":
-        return cls._from_quarters({(int(ze), _quarters(qe)): coeff})
+        return cls({(ze, _quarters(qe)): coeff})
 
     # -- basic protocol --------------------------------------------------------
 
@@ -247,7 +230,7 @@ class BivariatePolynomial:
     def __pow__(self, n: int) -> "BivariatePolynomial":
         if n < 0:
             raise ValueError("negative powers are not defined in this ring")
-        out = BivariatePolynomial.one()
+        out = ONE
         base = self
         while n:
             if n & 1:
@@ -289,7 +272,7 @@ class BivariatePolynomial:
         for (z, q4), c in self.terms.items():
             key = new_key(z, q4)
             out[key] = out.get(key, 0) + c
-        return BivariatePolynomial._from_quarters(out)
+        return BivariatePolynomial(out)
 
     def scale_q_exponents(self, factor: int) -> "BivariatePolynomial":
         """Substitute q = q^factor for an integer factor."""
@@ -329,7 +312,7 @@ class BivariatePolynomial:
         if not (self.is_z_free() and divisor.is_z_free()):
             raise ValueError("exact_div is only defined for z-free polynomials")
         if not self:
-            return BivariatePolynomial.zero()
+            return ZERO
 
         bits = max(self._bits, divisor._bits)
         while True:
@@ -392,11 +375,11 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BivariatePolynomial":
-        return cls({(int(t["ze"]), t["qe"]): int(t["c"]) for t in obj})
+        return cls({(int(t["ze"]), _quarters(t["qe"])): int(t["c"]) for t in obj})
 
 
-ZERO = BivariatePolynomial.zero()
-ONE = BivariatePolynomial.one()
+ZERO = BivariatePolynomial()
+ONE = BivariatePolynomial({(0, 0): 1})
 
 
 def zpow(a: int) -> BivariatePolynomial:

@@ -42,9 +42,6 @@ LAMBDA1 = Weight(0, 1, 0)
 DELTA = Weight(0, 0, 1)
 ALPHA0 = Weight(2, -2, 1)
 ALPHA1 = Weight(-2, 2, 0)
-# Any lift of rho with rho(h_i) = 1 gives the same Demazure operator; we
-# fix the delta-free one.
-RHO = Weight(1, 1, 0)
 
 ALPHA = (ALPHA0, ALPHA1)
 
@@ -179,4 +176,4 @@ def specialize(chi: dict[Weight, int], lam: Weight) -> BivariatePolynomial:
         # key (-j, 4n): q-exponents in quarter units; distinct weights give
         # distinct keys, so nothing needs summing
         out[(-(x.a1 // 2), -4 * x.d)] = c
-    return BivariatePolynomial._from_quarters(out)
+    return BivariatePolynomial(out)

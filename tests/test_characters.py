@@ -23,6 +23,7 @@ from demcrystal.characters import (
     sanderson_identity_check,
     sanderson_rhs,
 )
+from demcrystal.paths import highest_lift
 from demcrystal.qlaurent import ONE, ZERO, gaussian, qpow, zpow
 from demcrystal.weights import Weight
 
@@ -232,3 +233,21 @@ def test_weak_admissibility():
     assert is_weakly_admissible(2, 0, 2)
     assert not is_weakly_admissible(2, 0, 1)
     assert not is_weakly_admissible(2, 0, 4)
+
+
+@pytest.mark.parametrize(
+    "lam", [Weight(-1, 2, 0), Weight(2, -1, 0), Weight(1, 0, 3), Weight(0, 0, 0)]
+)
+def test_non_dominant_weights_are_refused(lam):
+    # no such weight has a path character: a negative coefficient used to
+    # give a silent 0, and a delta part was ignored
+    calls = (
+        lambda: ch_via_f(lam, 2),
+        lambda: F_fermionic(lam, 1, 0),
+        lambda: demazure_ch(lam, "+", 2),
+        lambda: demazure_ch(lam, "-", 2),
+        lambda: highest_lift((0, 1), lam),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="requires a dominant weight of level >= 1"):
+            call()

@@ -19,8 +19,8 @@ from demcrystal.paths import (
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import Weight
 
-# every weight of level <= 3 at both parities of L
-GRID = [(lam.a0, lam.a1, L) for L in (2, 3) for lam in weights_up_to(3)]
+# every weight of level <= 4 at both parities of L
+GRID = [(lam.a0, lam.a1, L) for L in (2, 3, 4) for lam in weights_up_to(4)]
 
 
 def test_ground_state_path():
@@ -111,6 +111,6 @@ def test_highest_lift_checks_round_trip(monkeypatch):
     p = from_letters(lam, 3, (0, 0, 0))
     wrong = ground_state_path(lam, 3)
     assert wrong != p
-    monkeypatch.setattr(paths, "pi", lambda T, L=None: wrong)
+    monkeypatch.setattr(paths, "pi", lambda T, L: wrong)
     with pytest.raises(AssertionError, match="does not project back"):
         highest_lift(p, lam)

@@ -12,7 +12,6 @@ from demcrystal.qlaurent import (
     q_multinomial,
     qpoch,
     qpow,
-    verify_gaussian_lemma,
     zpow,
 )
 
@@ -57,6 +56,29 @@ def test_quarter_exponents_only():
             ONE.coefficient(qe=bad)
         with pytest.raises(ValueError):
             BivariatePolynomial.from_json_obj([{"ze": 0, "qe": str(bad), "c": "1"}])
+
+
+def test_constructor_reads_terms():
+    # the constructor takes the {(z, 4 * q-exponent): c} dict that terms
+    # returns, so the two are inverse; (1 + q)^100 packs 128-bit digits
+    rng = random.Random(12)
+    wide = (ONE + qpow(1)) ** 100
+    assert wide._bits > 64
+    polys = [rand_poly(rng) for _ in range(30)]
+    for p in polys + [wide, wide * zpow(-2) - qpow(Fraction(3, 4)), ZERO]:
+        assert BivariatePolynomial(p.terms) == p
+    expected = 2 * zpow(1) * qpow(Fraction(1, 4)) - qpow(Fraction(-3, 2))
+    assert BivariatePolynomial({(1, 1): 2, (0, -6): -1}) == expected
+    assert BivariatePolynomial() == ZERO and BivariatePolynomial({(0, 0): 1}) == ONE
+
+
+def test_constructor_rejects_rational_keys():
+    # a rational exponent enters only through term, qpow, q_shift, coefficient
+    # and from_json_obj; the constructor does not rescale it
+    with pytest.raises(TypeError):
+        BivariatePolynomial({(0, Fraction(1, 2)): 1})
+    with pytest.raises(TypeError):
+        BivariatePolynomial({(Fraction(1), 0): 1})
 
 
 def test_to_text_ordering():
@@ -172,17 +194,6 @@ def test_exact_div():
 def test_exact_div_rejects_z():
     with pytest.raises(ValueError):
         (ONE + zpow(1)).exact_div(ONE + qpow(1))
-
-
-def test_gaussian_lemma_random():
-    rng = random.Random(11)
-    for _ in range(300):
-        M = rng.randint(-6, 8)
-        N = rng.randint(-6, 8)
-        if M < 0 and N < 0:
-            M = -M
-        n = rng.randint(0, 8)
-        assert verify_gaussian_lemma(M, N, n)
 
 
 def test_substitutions():

@@ -9,7 +9,6 @@ from demcrystal.weights import (
     DELTA,
     LAMBDA0,
     LAMBDA1,
-    RHO,
     Weight,
     apply_word,
     demazure_character_oracle,
@@ -31,7 +30,6 @@ def test_basis_pairings():
     assert pairing(ALPHA1, 1) == 2
     assert pairing(DELTA, 0) == 0
     assert pairing(DELTA, 1) == 0
-    assert pairing(RHO, 0) == 1 and pairing(RHO, 1) == 1
     assert ALPHA0 + ALPHA1 == DELTA
 
 
