@@ -5,6 +5,15 @@ independent routes (memoized difference equation, alternating bosonic
 double sum, positive fermionic multinomial sum) plus a rank-reduction
 route, and the characters built on top of it are cross-checked against
 brute-force path sums and the Demazure-operator oracle.
+
+Work shared across c.  f(b, c) for the k + 1 values of c at one (k, L, b)
+walks the same occupation vectors and the same q-multinomials, so
+``occupation_vectors`` is memoized on (k, L, b) and ``q_multinomial`` on
+L and the sorted parts; only the exponent of each term is recomputed per
+c.  Both caches hold pure functions of their arguments, never a value of
+f, so the fermionic F-sum, which walks the same vectors, still cannot
+read a result of any f route.  The routes themselves are not memoized,
+except f_recursive, whose recursion reads its own earlier values.
 """
 from __future__ import annotations
 
@@ -31,6 +40,7 @@ from .qlaurent import (
 from .weights import (
     Weight,
     demazure_character_oracle,
+    require_dominant,
     specialize,
     weyl_word_minus,
     weyl_word_plus,
@@ -101,52 +111,65 @@ def f_bosonic(k: int, L: int, b: int, c: int,
             raise ValueError(f"no admissible (mu, nu) for k={k}, L={L}, (b,c)=({b},{c})")
         mu_nu = choices[0]
     mu, nu = mu_nu
+    # A point (i, j) counts with sign (-1)^(i+j) when 2i >= L+nu and
+    # 2j <= L+mu-1 (plus), with the opposite sign when 2i <= L+nu-2 and
+    # 2j >= L+mu+1, and not at all otherwise.  So each i fixes one
+    # contiguous j-range, and the j-sum is taken before the one product
+    # with gaussian(L-1, i); gaussian(L, j) vanishes outside 0..L.
+    j_plus = range(min((L + mu - 1) // 2, L) + 1)
+    j_minus = range(max(-(-(L + mu + 1) // 2), 0), L + 1)
     num = ZERO
     for i in range(L):  # gaussian(L-1, i) vanishes outside 0..L-1
-        for j in range(L + 1):  # gaussian(L, j) vanishes outside 0..L
-            plus = 2 * i >= L + nu and 2 * j <= L + mu - 1
-            minus = 2 * i <= L + nu - 2 and 2 * j >= L + mu + 1
-            if not (plus or minus):
-                continue
-            # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L
-            A, B = 2 * i - L + 1, 2 * j - L
-            Q4 = 2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B
-            term = (gaussian(L - 1, i) * gaussian(L, j)).shift_quarters(Q4)
+        if 2 * i >= L + nu:
+            plus, js = True, j_plus
+        elif 2 * i <= L + nu - 2:
+            plus, js = False, j_minus
+        else:
+            continue
+        # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L;
+        # the terms of each sign are summed apart, so one subtraction signs them
+        A = 2 * i - L + 1
+        pos = neg = ZERO
+        for j in js:
+            B = 2 * j - L
+            term = gaussian(L, j).shift_quarters(2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B)
             if ((i + j) % 2 == 0) == plus:
-                num = num + term
+                pos = pos + term
             else:
-                num = num - term
+                neg = neg + term
+        num = num + gaussian(L - 1, i) * (pos - neg)
     return num.exact_div(qpoch(L - 1))
 
 
 # -- route 3: fermionic multinomial sum ------------------------------------------------
 
-def occupation_vectors(k: int, L: int, b: int):
-    """Configurations for f^(k)_L(b, .): sum x = L, sum a*x_a = (Lk - b)/2."""
+@lru_cache(maxsize=None)
+def occupation_vectors(k: int, L: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Configurations for f^(k)_L(b, .): sum x = L, sum a*x_a = (Lk - b)/2,
+    in lexicographic order.  Memoized; a tuple, so no caller can change it."""
     if (L * k - b) % 2 != 0:
-        return []
+        return ()
     target = (L * k - b) // 2
     if target < 0 or target > L * k:
-        return []
+        return ()
     out = []
 
     def rec(a: int, rem: int, wrem: int, acc: list):
-        if a == k:
-            # remaining letters all carry weight k
-            if wrem == rem * k:
-                out.append(tuple(acc) + (rem,))
+        if a == k:  # the rem letters left carry weight k, and wrem == rem * k
+            out.append(tuple(acc) + (rem,))
             return
-        max_x = rem
-        for x in range(max_x + 1):
-            w = wrem - a * x
-            if w < 0 or w > (rem - x) * k:
-                continue
+        # x letters of weight a leave rem - x letters of weights a+1 .. k,
+        # whose totals are exactly (a+1)(rem-x) .. k(rem-x); so every x in
+        # this range completes, and no branch is walked in vain
+        lo = max(0, (a + 1) * rem - wrem)
+        hi = min(rem, (k * rem - wrem) // (k - a))
+        for x in range(lo, hi + 1):
             acc.append(x)
-            rec(a + 1, rem - x, w, acc)
+            rec(a + 1, rem - x, wrem - a * x, acc)
             acc.pop()
 
     rec(0, L, target, [])
-    return out
+    return tuple(out)
 
 
 def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
@@ -159,14 +182,16 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
     thr = (c - b + k) // 2
     out = ZERO
     for xs in occupation_vectors(k, L, b):
-        Q = 0
-        for a in range(k + 1):
-            if not xs[a]:
-                continue
-            for a2 in range(a + 1, k + 1):
-                Q -= (a2 - a) * xs[a] * xs[a2]
-            if a >= thr:
-                Q += (a - thr) * xs[a]
+        # Q = -sum_{a < a2} (a2 - a) x_a x_a2 + sum_{a >= thr} (a - thr) x_a,
+        # the pair sum read off the count n and weight w of the letters below a
+        Q = n = w = 0
+        for a, x in enumerate(xs):
+            if x:
+                Q -= x * (a * n - w)
+                n += x
+                w += a * x
+                if a >= thr:
+                    Q += (a - thr) * x
         out = out + q_multinomial(L, xs).shift_quarters(base + 4 * Q)
     return out
 
@@ -207,8 +232,7 @@ def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
     to integers, anything else raises."""
     if L < 0:
         raise ValueError("requires L >= 0")
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("requires a dominant weight of level >= 1")
+    require_dominant(lam)
     s, t = lam.a0, lam.a1
     k = s + t
     eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
@@ -232,8 +256,7 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
     reads at z^{-j}; x_1 .. x_{k-1} enter the Cartan-matrix part."""
     if L < 0:
         raise ValueError("requires L >= 0")
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("requires a dominant weight of level >= 1")
+    require_dominant(lam)
     s, t = lam.a0, lam.a1
     k = s + t
     unit = s if L % 2 == 0 else t
@@ -280,8 +303,7 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
         raise ValueError("Demazure characters are computed for L > 0")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("requires a dominant weight of level >= 1")
+    require_dominant(lam)
     s, t = lam.a0, lam.a1
     k = s + t
     e = epsilon_L(L)

@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass
 
 from .eyd import ExtendedYoungDiagram, EYDTuple, e_tilde, f_tilde
-from .weights import Weight, is_reduced
+from .weights import Weight, is_reduced, require_dominant
 
 
 @dataclass(frozen=True)
@@ -22,8 +22,7 @@ class CrystalGraph:
 
 def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
     """B_L(Lambda): closure of the vacuum under box-adding, widths <= L."""
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("crystal generation requires a dominant weight of level >= 1")
+    require_dominant(lam)
     if L < 0:
         raise ValueError("crystal generation requires L >= 0")
     root = EYDTuple.vacuum(lam.a0, lam.a1)
@@ -50,8 +49,7 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
 
 def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:
     """B_w(Lambda) by the string recursion, processing the word inside out."""
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("requires a dominant weight of level >= 1")
+    require_dominant(lam)
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
     crystal = {EYDTuple.vacuum(lam.a0, lam.a1)}
@@ -95,6 +93,7 @@ def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:
     """The weight-w^+/-_L(Lambda) element: maximal-staircase diagrams."""
     if L <= 0:
         raise ValueError("extremal vectors are defined for L > 0")
+    require_dominant(lam)
     w0, w1 = _widths(sign, L)
 
     def maximal(charge: int, width: int) -> ExtendedYoungDiagram:

@@ -16,13 +16,12 @@ from __future__ import annotations
 from itertools import product
 
 from .eyd import ExtendedYoungDiagram, EYDTuple
-from .weights import Weight
+from .weights import Weight, require_dominant
 
 
 def ground_state_path(lam: Weight, L: int) -> tuple[int, ...]:
     """The letters (s, t, s, ...) of the ground-state path of length L."""
-    if not lam.is_dominant():
-        raise ValueError("ground-state path requires a dominant weight")
+    require_dominant(lam)
     return tuple(lam.a1 if j % 2 else lam.a0 for j in range(L))
 
 
@@ -96,8 +95,7 @@ def ground_state_H_sum_direct(lam: Weight, L: int) -> int:
 
 def enumerate_paths(lam: Weight, L: int):
     """All of P_L(Lambda): every word of L free letters."""
-    if not lam.is_dominant():
-        raise ValueError("path enumeration requires a dominant weight")
+    require_dominant(lam)
     return product(range(lam.level + 1), repeat=L)
 
 
@@ -138,8 +136,7 @@ def highest_lift(p: tuple[int, ...], lam: Weight) -> EYDTuple:
     compatible with its right neighbor, the inclusion chain and the step
     letter of the path.
     """
-    if not lam.is_dominant() or lam.level < 1:
-        raise ValueError("requires a dominant weight of level >= 1")
+    require_dominant(lam)
     s, t = lam.a0, lam.a1
     k = s + t
     L = len(p)

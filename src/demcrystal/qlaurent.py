@@ -27,6 +27,7 @@ arithmetic is exact at any size.
 """
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -59,6 +60,14 @@ def _width(norm: int) -> int:
     return bits
 
 
+# The native unsigned word types of 32 and 64 bits, in which _unpack reads
+# the digits of those widths; none on a big-endian machine, whose words do
+# not read in little-endian byte order.
+_WORD_CODES = {
+    memoryview(bytes(8)).cast(code).itemsize * 8: code for code in "IQ"
+} if sys.byteorder == "little" else {}
+
+
 def _ones(n: int, bits: int) -> int:
     """Sum of 2^(bits*i) for 0 <= i < n."""
     return ((1 << (bits * n)) - 1) // ((1 << bits) - 1)
@@ -69,14 +78,19 @@ def _unpack(p: int, bits: int) -> list[int]:
     ones may be 0).
 
     Adding 2^(bits-1) to every digit makes them all non-negative, so they
-    are read straight off the bytes of one int.  Digits below the top one
-    can make p up to two bits shorter than the top digit's place, hence
-    the extra digit in n."""
+    are read straight off the bytes of one int, as machine words when the
+    width has a native word type.  Digits below the top one can make p up
+    to two bits shorter than the top digit's place, hence the extra digit
+    in n."""
     w = bits // 8
     n = p.bit_length() // bits + 2
     half = 1 << (bits - 1)
     data = (p + half * _ones(n, bits)).to_bytes(n * w, "little")
-    return [int.from_bytes(data[j:j + w], "little") - half for j in range(0, n * w, w)]
+    if bits in _WORD_CODES:
+        words = memoryview(data).cast(_WORD_CODES[bits])
+    else:
+        words = [int.from_bytes(data[j:j + w], "little") for j in range(0, n * w, w)]
+    return [d - half for d in words]
 
 
 def _join(digits, bits: int) -> int:
@@ -193,6 +207,10 @@ class BivariatePolynomial:
     def __add__(self, other) -> "BivariatePolynomial":
         if isinstance(other, int):
             other = BivariatePolynomial.term(other)
+        if not other._rows:
+            return self
+        if not self._rows:
+            return other
         norm = self._norm + other._norm
         bits = _width(norm)
         out = dict(self._at(bits))
@@ -375,7 +393,15 @@ class BivariatePolynomial:
 
     @classmethod
     def from_json_obj(cls, obj) -> "BivariatePolynomial":
-        return cls({(int(t["ze"]), _quarters(t["qe"])): int(t["c"]) for t in obj})
+        """The polynomial ``to_json_obj`` wrote; two terms with the same
+        exponents raise ValueError, since one of them would be lost."""
+        terms = {}
+        for t in obj:
+            key = (int(t["ze"]), _quarters(t["qe"]))
+            if key in terms:
+                raise ValueError(f"two terms with ze={key[0]}, qe={t['qe']}")
+            terms[key] = int(t["c"])
+        return cls(terms)
 
 
 ZERO = BivariatePolynomial()
@@ -434,9 +460,14 @@ def q_multinomial(M: int, parts) -> BivariatePolynomial:
     """q-multinomial coefficient [M; m_1 ... m_n].
 
     Zero unless all parts are nonnegative and sum to M.  The unit factors
-    [rest, 0] and [rest, rest] are skipped.
+    [rest, 0] and [rest, rest] are skipped.  The coefficient does not depend
+    on the order of the parts, so it is memoized on M and the sorted parts.
     """
-    parts = list(parts)
+    return _q_multinomial(M, tuple(sorted(parts)))
+
+
+@lru_cache(maxsize=None)
+def _q_multinomial(M: int, parts: tuple) -> BivariatePolynomial:
     if any(m < 0 for m in parts) or sum(parts) != M or M < 0:
         return ZERO
     out = None

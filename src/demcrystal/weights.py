@@ -33,8 +33,13 @@ class Weight:
     def level(self) -> int:
         return self.a0 + self.a1
 
-    def is_dominant(self) -> bool:
-        return self.a0 >= 0 and self.a1 >= 0 and self.d == 0
+
+def require_dominant(lam: Weight) -> None:
+    """The one guard of every route that takes a weight: paths, crystals
+    and characters exist only for a dominant weight with no delta part and
+    of level >= 1; any other weight raises ValueError."""
+    if lam.a0 < 0 or lam.a1 < 0 or lam.d != 0 or lam.level < 1:
+        raise ValueError("requires a dominant weight of level >= 1")
 
 
 LAMBDA0 = Weight(1, 0, 0)
@@ -151,8 +156,7 @@ def demazure_operator(i: int, chi: dict[Weight, int]) -> dict[Weight, int]:
 
 def demazure_character_oracle(lam: Weight, word) -> dict[Weight, int]:
     """ch E_w(Lambda) as D_{i_n} ... D_{i_1} e^Lambda."""
-    if not lam.is_dominant():
-        raise ValueError(f"{lam} is not a dominant weight with zero delta part")
+    require_dominant(lam)
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
     chi = {lam: 1}

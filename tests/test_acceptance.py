@@ -50,6 +50,12 @@ def test_a1_boson_fermion_recursion():
     report("A1 boson = fermion = recursion (k<=4, L<=8)", ok, first_bad)
 
 
+def test_boson_fermion_wide_grid_slice():
+    # a slice of the wide identity grid beside A1's: every k <= 6 at L <= 7
+    ok, first_bad = run_engine({"boson-fermion": 6461}, verify.boson_fermion(6, 7))
+    assert ok, first_bad
+
+
 def test_a2_crystal_characterization():
     ok, first_bad = run_engine({"demazure-crystal": 45}, verify.demazure_crystal(3, 5))
     report("A2 crystal characterization (s+t<=3, L<=5)", ok, first_bad)

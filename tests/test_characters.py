@@ -23,9 +23,15 @@ from demcrystal.characters import (
     sanderson_identity_check,
     sanderson_rhs,
 )
-from demcrystal.paths import highest_lift
+from demcrystal.demazure import (
+    demazure_crystal_direct,
+    demazure_crystal_recursive,
+    extremal_vector,
+    generate_crystal,
+)
+from demcrystal.paths import enumerate_paths, ground_state_path, highest_lift
 from demcrystal.qlaurent import ONE, ZERO, gaussian, qpow, zpow
-from demcrystal.weights import Weight
+from demcrystal.weights import Weight, demazure_character_oracle
 
 WEIGHTS = list(verify.weights_up_to(3))
 HIGH_WEIGHTS = [Weight(s, k - s, 0) for k in (4, 5) for s in range(k + 1)]
@@ -54,14 +60,21 @@ def test_f_reflection_symmetry():
 
 
 def test_mu_nu_ambiguity_choices_agree():
-    # at b = 0 or c = 0 both admissible (mu, nu) give the same value
-    for k in (1, 2, 3):
-        for L in (1, 2, 3):
+    # at b = 0 or c = 0 both admissible (mu, nu) give f; the second choice
+    # reaches j-ranges of the factored sum that the canonical one does not
+    points = doubles = 0
+    for k in range(1, 5):
+        for L in range(1, 7):
             for b, c in admissible_pairs(k, L):
+                if (b - L * k) % 2:  # off the support f_bosonic returns 0 unresolved
+                    continue
                 choices = resolve_mu_nu(k, L, b, c)
-                assert choices
-                vals = {f_bosonic(k, L, b, c, mn) for mn in choices}
-                assert len(vals) == 1
+                assert 1 <= len(choices) <= 2
+                for mn in choices:
+                    assert f_bosonic(k, L, b, c, mn) == f_recursive(k, L, b, c), (k, L, b, c, mn)
+                points += 1
+                doubles += len(choices) == 2
+    assert (points, doubles) == (924, 84)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -158,9 +171,10 @@ def test_occupation_vectors_against_product(k):
         union = []
         for b in range(-L * k - 2, L * k + 3):
             got = occupation_vectors(k, L, b)
-            assert got == by_b.get(b, [])
+            assert type(got) is tuple  # memoized, so no caller may change it
+            assert list(got) == by_b.get(b, [])
             if (L * k - b) % 2 or abs(b) > L * k:
-                assert got == []
+                assert got == ()
             union += got
         assert sorted(union) == sorted(itertools.chain(*by_b.values()))
 
@@ -239,14 +253,25 @@ def test_weak_admissibility():
     "lam", [Weight(-1, 2, 0), Weight(2, -1, 0), Weight(1, 0, 3), Weight(0, 0, 0)]
 )
 def test_non_dominant_weights_are_refused(lam):
-    # no such weight has a path character: a negative coefficient used to
-    # give a silent 0, and a delta part was ignored
+    # no such weight has paths, a crystal or a character: a negative
+    # coefficient used to give a silent 0, a delta part was ignored, and the
+    # path and oracle routes gave 1 at level 0
     calls = (
         lambda: ch_via_f(lam, 2),
         lambda: F_fermionic(lam, 1, 0),
         lambda: demazure_ch(lam, "+", 2),
         lambda: demazure_ch(lam, "-", 2),
         lambda: highest_lift((0, 1), lam),
+        lambda: ch_path_bruteforce(lam, 2),
+        lambda: demazure_ch_bruteforce(lam, "+", 2),
+        lambda: demazure_ch_oracle(lam, "+", 2),
+        lambda: ground_state_path(lam, 3),
+        lambda: enumerate_paths(lam, 2),
+        lambda: demazure_character_oracle(lam, (1, 0)),
+        lambda: generate_crystal(lam, 2),
+        lambda: demazure_crystal_recursive(lam, (1, 0)),
+        lambda: demazure_crystal_direct(lam, "-", 2),
+        lambda: extremal_vector(lam, "+", 2),
     )
     for call in calls:
         with pytest.raises(ValueError, match="requires a dominant weight of level >= 1"):

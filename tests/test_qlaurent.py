@@ -128,6 +128,14 @@ def test_json_mixed_quarter_powers():
     assert p.coefficient(-3, 2) == 1
 
 
+def test_json_rejects_duplicate_terms():
+    # a hand-written file may name one monomial twice, also as 1/2 and 2/4
+    for qes in (("1/2", "1/2"), ("1/2", "2/4")):
+        obj = [{"ze": 1, "qe": qe, "c": "1"} for qe in qes]
+        with pytest.raises(ValueError, match="two terms with ze=1"):
+            BivariatePolynomial.from_json_obj(obj)
+
+
 def test_json_roundtrip():
     rng = random.Random(3)
     for _ in range(20):
@@ -182,6 +190,9 @@ def test_q_multinomial():
     assert m == gaussian(4, 1) * gaussian(3, 1)
     assert m.value_at_one() == 12
     assert q_multinomial(3, (1, 1, 2)) == ZERO
+    # memoized on the sorted parts: any order and any iterable give it
+    assert q_multinomial(4, [2, 1, 1]) == q_multinomial(4, iter((1, 2, 1))) == m
+    assert q_multinomial(2, (3, -1)) == ZERO
 
 
 def test_exact_div():

@@ -3,7 +3,7 @@ statement (``python -O`` strips them), no float literal, no ``float(`` call,
 no true division ``/`` and no ``random`` import (every result and every
 verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 ``Fraction`` outside ``qlaurent._quarters``; and no route to f^(k)_L or to
-the fermionic F-sum built on another of them."""
+the fermionic F-sum built on another of them, or memoized."""
 import ast
 from pathlib import Path
 
@@ -147,4 +147,51 @@ def test_route_rule_catches_the_pattern():
         (4, "F_fermionic names f_recursive"),
         (5, "f_bosonic names f_fermionic"),
         (6, "f_bosonic names ch_via_f"),
+    ]
+
+
+# A memo on a cross-checked route would let a check read back a stored
+# result in place of a fresh computation; f_recursive is memoized by
+# definition (its recursion reads its own earlier values) and is exempt.
+UNMEMOIZED_ROUTES = ("f_bosonic", "f_fermionic", "F_fermionic")
+MEMO_DECORATORS = ("lru_cache", "cache")
+
+
+def memoized_routes(tree):
+    """(line, what) for each memo decorator on, or assignment to the name
+    of, a route that must recompute on every call."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in UNMEMOIZED_ROUTES:
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                if (getattr(target, "id", None) or getattr(target, "attr", None)) in MEMO_DECORATORS:
+                    yield dec.lineno, f"{node.name} is memoized"
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if getattr(target, "id", None) in UNMEMOIZED_ROUTES:
+                    yield node.lineno, f"{target.id} is rebound"
+
+
+def test_cross_checked_routes_are_not_memoized():
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}:{line}: {what}" for line, what in memoized_routes(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_memo_rule_catches_the_pattern():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef f_bosonic(k):\n    pass\n"
+        "@functools.cache\ndef f_fermionic(k):\n    pass\n"
+        "@staticmethod\n@cache\ndef F_fermionic(lam):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef f_recursive(k):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef occupation_vectors(k):\n    pass\n"
+        "f_fermionic = functools.lru_cache(None)(f_fermionic)\n"
+    )
+    assert sorted(memoized_routes(ast.parse(source))) == [
+        (3, "f_bosonic is memoized"),
+        (6, "f_fermionic is memoized"),
+        (10, "F_fermionic is memoized"),
+        (19, "f_fermionic is rebound"),
     ]
