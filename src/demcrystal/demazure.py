@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .eyd import ExtendedYoungDiagram, EYDTuple, e_tilde, f_tilde
+from .eyd import ExtendedYoungDiagram, EYDTuple, epsilon_i, f_tilde
 from .weights import Weight, is_reduced, require_dominant
 
 
@@ -26,25 +26,25 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
     if L < 0:
         raise ValueError("crystal generation requires L >= 0")
     root = EYDTuple.vacuum(lam.a0, lam.a1)
-    seen = {root.key(): root}
+    seen = {root}
     frontier = [root]
-    edges = set()
+    edges = []
     while frontier:
         nxt = []
         for T in frontier:
             for i in (0, 1):
                 U = f_tilde(i, T)
-                if U is None or any(w > L for w in U.widths()):
+                if U is None or max(U.widths()) > L:
                     continue
-                edges.add((T, i, U))
-                key = U.key()
-                if key not in seen:
-                    seen[key] = U
+                # each (T, i) is tried once, so no edge repeats
+                edges.append((T, i, U))
+                if U not in seen:
+                    seen.add(U)
                     nxt.append(U)
         frontier = nxt
     # every edge target passed the width check and sits in seen, so all
     # edges are internal to the width-bounded set
-    return CrystalGraph(frozenset(seen.values()), frozenset(edges))
+    return CrystalGraph(frozenset(seen), frozenset(edges))
 
 
 def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:
@@ -56,7 +56,7 @@ def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:
     for i in reversed(word):
         grown = set()
         for b in crystal:
-            if e_tilde(i, b) is not None:
+            if epsilon_i(b, i) != 0:  # not i-highest
                 continue
             U = b
             while U is not None:
@@ -122,21 +122,21 @@ def _sorted_vertices(G: CrystalGraph) -> list[EYDTuple]:
 def export_graph(G: CrystalGraph, fmt: str) -> str:
     """Deterministic DOT or JSON rendering of a crystal graph."""
     verts = _sorted_vertices(G)
-    index = {T.key(): n for n, T in enumerate(verts)}
-    edges = sorted(G.edges, key=lambda e: (index[e[0].key()], e[1], index[e[2].key()]))
+    index = {T: n for n, T in enumerate(verts)}
+    edges = sorted(G.edges, key=lambda e: (index[e[0]], e[1], index[e[2]]))
     if fmt == "dot":
         lines = ["digraph crystal {"]
         for n, T in enumerate(verts):
             lines.append(f'  v{n} [label="{_vertex_label(T)}"];')
         for a, i, b in edges:
-            lines.append(f'  v{index[a.key()]} -> v{index[b.key()]} [label="{i}"];')
+            lines.append(f'  v{index[a]} -> v{index[b]} [label="{i}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     if fmt == "json":
         obj = {
             "vertices": [T.to_json_obj() for T in verts],
             "edges": [
-                {"source": index[a.key()], "color": i, "target": index[b.key()]}
+                {"source": index[a], "color": i, "target": index[b]}
                 for a, i, b in edges
             ],
         }

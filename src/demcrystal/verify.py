@@ -63,13 +63,13 @@ def demazure_crystal(max_k: int, max_L: int):
     B_{w+/-_L}(Lambda); their union is B_L, their intersection B_{L-1}, and
     for a weight on one side only the Demazure crystal is all of B_L."""
     for lam in weights_up_to(max_k):
+        prev = generate_crystal(lam, 0).vertices
         for L in range(1, max_L + 1):
             rec_p = demazure_crystal_recursive(lam, weyl_word_plus(L))
             rec_m = demazure_crystal_recursive(lam, weyl_word_minus(L))
             dir_p = demazure_crystal_direct(lam, "+", L)
             dir_m = demazure_crystal_direct(lam, "-", L)
             full = generate_crystal(lam, L).vertices
-            prev = generate_crystal(lam, L - 1).vertices
             ok = (
                 rec_p == dir_p
                 and rec_m == dir_m
@@ -81,6 +81,7 @@ def demazure_crystal(max_k: int, max_L: int):
             if lam.a0 == 0:
                 ok = ok and dir_m == full
             yield Check(f"demazure-crystal s={lam.a0} t={lam.a1} L={L}", ok)
+            prev = full
 
 
 def demazure_character(max_k: int, max_L: int):

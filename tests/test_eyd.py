@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from demcrystal import eyd
 from demcrystal.demazure import generate_crystal
 from demcrystal.eyd import (
     CONCAVE,
@@ -27,6 +28,18 @@ def test_make_trims_and_validates():
         ExtendedYoungDiagram(0, (0,))
     with pytest.raises(ValueError):
         ExtendedYoungDiagram(0, (-1, -2))
+    # a float or a bool equals an int and hashes like one, so a diagram
+    # holding one would alias an int diagram in the value-keyed caches
+    for charge, columns in [(0, (-1.5,)), (0, (-2.0,)), (1, (-1, 0.0)), (1, (False,)),
+                            (1.0, ()), (True, ()), (0.0, (-1,))]:
+        with pytest.raises(ValueError):
+            ExtendedYoungDiagram(charge, columns)
+    with pytest.raises(ValueError):
+        ExtendedYoungDiagram.make(0, (-2.0, 0))
+    # the JSON reader takes the charge as written, not through int()
+    for charge in (0.7, "1", True):
+        with pytest.raises(ValueError):
+            ExtendedYoungDiagram.from_json_obj({"charge": charge, "columns": [-1]})
 
 
 def test_single_diagram_example():
@@ -53,6 +66,9 @@ def test_add_remove_box_roundtrip():
     assert Y2.columns == (-3, -1)
     assert Y2.remove_box(0) == Y
     assert Y.add_box(2).columns == (-2, -1, -1)
+    for move in (Y.add_box, Y.remove_box):
+        with pytest.raises(ValueError):
+            move(-1)
 
 
 def test_reduce_signature_rules():
@@ -180,11 +196,16 @@ def reference_operators(T, i):
     f = e = None
     if concave:
         c = concave[0]
-        f = T.replace(c.diagram - 1, T.diagrams[c.diagram - 1].add_box(c.column))
+        f = with_diagram(T, c.diagram - 1, T.diagrams[c.diagram - 1].add_box(c.column))
     if convex:
         c = convex[-1]
-        e = T.replace(c.diagram - 1, T.diagrams[c.diagram - 1].remove_box(c.column))
+        e = with_diagram(T, c.diagram - 1, T.diagrams[c.diagram - 1].remove_box(c.column))
     return f, e, len(convex), len(concave)
+
+
+def with_diagram(T, index, Y):
+    """T with diagram ``index`` set to Y, through the fully checking constructor."""
+    return EYDTuple(T.diagrams[:index] + (Y,) + T.diagrams[index + 1:])
 
 
 def reference_crystal(lam, L):
@@ -213,4 +234,47 @@ def test_kernel_matches_signature_reference(lam):
         for i in (0, 1):
             got = (f_tilde(i, T), e_tilde(i, T), epsilon_i(T, i), phi_i(T, i))
             assert got == reference_operators(T, i), (T.key(), i)
+            for U in got[:2]:
+                # the kernel checks only the moved column; the full check
+                # passes on its result and gives the same hash
+                if U is not None:
+                    full = EYDTuple(U.diagrams)
+                    assert full == U and hash(full) == hash(U), (T.key(), i)
     assert generate_crystal(lam, 4).vertices == vertices
+
+
+def test_one_column_check_raises_like_the_full_check():
+    Y0, Y1 = ExtendedYoungDiagram.make(0, (-1,)), ExtendedYoungDiagram.make(1, ())
+    moves = [
+        # a box on the second diagram's column 0 puts it below the first
+        (EYDTuple((Y0, Y0)), 1, 0, "inclusion rule violated between consecutive diagrams"),
+        # a box on the first diagram's column 0 puts it 3 below the last
+        (EYDTuple((Y0, Y1)), 0, 0, "inclusion rule violated against the shifted first diagram"),
+    ]
+    for T, index, column, message in moves:
+        Y = T.diagrams[index].add_box(column)
+        with pytest.raises(ValueError) as full:
+            with_diagram(T, index, Y)
+        with pytest.raises(ValueError) as moved:
+            T._with_move(index, Y, column)
+        assert str(moved.value) == str(full.value) == message
+
+
+def test_kernel_caches_hold_tuples_and_change_no_result():
+    lam = Weight(2, 2, 0)
+    warm = generate_crystal(lam, 5)
+    for T in warm.vertices:
+        for pos, Y in enumerate(T.diagrams):
+            per_color = eyd._corner_entries(pos, Y.charge, Y.columns)
+            assert type(per_color) is tuple and len(per_color) == 2
+            assert all(type(side) is tuple and all(type(e) is tuple for e in side) for side in per_color)
+    # hashes spread: keys of B_5 hash to far fewer values (-1 and -2 hash alike)
+    assert len({hash(T) for T in warm.vertices}) == len(warm.vertices)
+    eyd._corner_entries.cache_clear()
+    eyd._box_move.cache_clear()
+    cold = generate_crystal(lam, 5)
+    assert eyd._corner_entries.cache_info().currsize > 0
+    assert {T.key() for T in cold.vertices} == {T.key() for T in warm.vertices}
+    assert {(a.key(), i, b.key()) for a, i, b in cold.edges} == {
+        (a.key(), i, b.key()) for a, i, b in warm.edges
+    }

@@ -2,8 +2,9 @@
 statement (``python -O`` strips them), no float literal, no ``float(`` call,
 no true division ``/`` and no ``random`` import (every result and every
 verification grid is deterministic) anywhere in ``src/demcrystal``, and no
-``Fraction`` outside ``qlaurent._quarters``; and no route to f^(k)_L or to
-the fermionic F-sum built on another of them, or memoized."""
+``Fraction`` outside ``qlaurent._quarters``; no route to f^(k)_L or to
+the fermionic F-sum built on another of them, or memoized; and no memo on
+a crystal operator or crystal generator."""
 import ast
 from pathlib import Path
 
@@ -153,7 +154,12 @@ def test_route_rule_catches_the_pattern():
 # A memo on a cross-checked route would let a check read back a stored
 # result in place of a fresh computation; f_recursive is memoized by
 # definition (its recursion reads its own earlier values) and is exempt.
-UNMEMOIZED_ROUTES = ("f_bosonic", "f_fermionic", "F_fermionic")
+# The crystal operators and generators are cross-checked routes too: the
+# EYD kernel may cache per-diagram geometry, never a tuple or a crystal.
+UNMEMOIZED_ROUTES = (
+    "f_bosonic", "f_fermionic", "F_fermionic",
+    "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
+)
 MEMO_DECORATORS = ("lru_cache", "cache")
 
 
@@ -173,10 +179,14 @@ def memoized_routes(tree):
 
 
 def test_cross_checked_routes_are_not_memoized():
-    found = []
+    found, defined = [], set()
     for path in SOURCES:
-        found += [f"{path.name}:{line}: {what}" for line, what in memoized_routes(ast.parse(path.read_text()))]
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {what}" for line, what in memoized_routes(tree)]
+        defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert found == []
+    # the rule guards functions that exist
+    assert set(UNMEMOIZED_ROUTES) <= defined
 
 
 def test_memo_rule_catches_the_pattern():
@@ -188,10 +198,15 @@ def test_memo_rule_catches_the_pattern():
         "@lru_cache(maxsize=None)\ndef f_recursive(k):\n    pass\n"
         "@lru_cache(maxsize=None)\ndef occupation_vectors(k):\n    pass\n"
         "f_fermionic = functools.lru_cache(None)(f_fermionic)\n"
+        "@functools.lru_cache(maxsize=None)\ndef generate_crystal(lam, L):\n    pass\n"
+        "@lru_cache(maxsize=None)\ndef _corner_entries(pos, charge, columns):\n    pass\n"
+        "f_tilde = cache(f_tilde)\n"
     )
     assert sorted(memoized_routes(ast.parse(source))) == [
         (3, "f_bosonic is memoized"),
         (6, "f_fermionic is memoized"),
         (10, "F_fermionic is memoized"),
         (19, "f_fermionic is rebound"),
+        (20, "generate_crystal is memoized"),
+        (26, "f_tilde is rebound"),
     ]
