@@ -74,7 +74,7 @@ def cmd_character(args, out) -> int:
 
 def cmd_oracle(args, out) -> int:
     lam = _weight(args)
-    if not args.word:
+    if args.word is None:
         raise SystemExit2("oracle requires --word")
     word = _word(args.word)
     return _write_character(specialize(demazure_character_oracle(lam, word), lam), args.format, out)
@@ -82,7 +82,7 @@ def cmd_oracle(args, out) -> int:
 
 def cmd_crystal(args, out) -> int:
     lam = _weight(args)
-    if args.word:
+    if args.word is not None:  # "" is the identity word, as w+0 is
         word = _word(args.word)
         verts = demazure_crystal_recursive(lam, word)
         G = subgraph(generate_crystal(lam, len(word)), verts)

@@ -73,20 +73,20 @@ def _widths(sign: str, L: int) -> tuple[int, int]:
     return (L, L - 1) if sign == "+" else (L - 1, L)
 
 
-def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> set[EYDTuple]:
-    """B_{w^+/-_L}(Lambda) by the width characterization on B_L(Lambda)."""
+def _width_filter(lam: Weight, sign: str, L: int):
+    """The width characterization of B_{w^+/-_L}(Lambda), as a test on the
+    vertices of B_L(Lambda): Y_1 and Y_{s+1} stay within the extremal
+    vector's widths."""
     if L <= 0:
         raise ValueError("the width characterization requires L > 0")
     s, t = lam.a0, lam.a1
     cap0, cap1 = _widths(sign, L)
-    out = set()
-    for T in generate_crystal(lam, L).vertices:
-        if s >= 1 and T.diagrams[0].width > cap0:
-            continue
-        if t >= 1 and T.diagrams[s].width > cap1:
-            continue
-        out.add(T)
-    return out
+    return lambda T: not (s and T.diagrams[0].width > cap0 or t and T.diagrams[s].width > cap1)
+
+
+def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> set[EYDTuple]:
+    """B_{w^+/-_L}(Lambda) by the width characterization on B_L(Lambda)."""
+    return set(filter(_width_filter(lam, sign, L), generate_crystal(lam, L).vertices))
 
 
 def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:

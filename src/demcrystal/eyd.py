@@ -218,9 +218,6 @@ class EYDTuple:
     def t(self) -> int:
         return sum(1 for Y in self.diagrams if Y.charge == 1)
 
-    def highest_weight(self) -> Weight:
-        return self.s * fundamental(0) + self.t * fundamental(1)
-
     def weight(self) -> Weight:
         out = Weight(0, 0, 0)
         for Y in self.diagrams:

@@ -32,7 +32,8 @@ def from_letters(lam: Weight, L: int, letters) -> tuple[int, ...]:
         raise ValueError(f"expected {L} free letters, got {len(letters)}")
     k = lam.level
     for m in letters:
-        if not (isinstance(m, int) and 0 <= m <= k):
+        # a bool equals an int but is not a letter
+        if not (type(m) is int and 0 <= m <= k):
             raise ValueError(f"letter {m} is not allowed at level {k}")
     return letters
 
@@ -103,13 +104,12 @@ def enumerate_paths(lam: Weight, L: int):
 
 def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     """Project a pattern to its path: column j contributes the letter
-    counting the diagrams with t_{ij} + j even."""
-    lam = T.highest_weight()
+    counting the diagrams with t_{ij} + j even, so each letter lies in
+    0..k by construction."""
     if any(Y.width > L for Y in T.diagrams):
         raise ValueError("window length L is smaller than a diagram width")
     columns = zip(*(Y.row(L) for Y in T.diagrams))
-    letters = [sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(columns)]
-    return from_letters(lam, L, letters)
+    return tuple(sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(columns))
 
 
 def _max_column(caps, m: int, parity: int, k: int):

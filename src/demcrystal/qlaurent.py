@@ -35,9 +35,12 @@ from operator import index
 
 
 def _quarters(value) -> int:
-    """4 * value as an int; the single check on q-exponents entering the ring."""
+    """4 * value as an int; the single check on q-exponents entering the
+    ring: an int (not a bool), a Fraction or the str that JSON carries."""
     if type(value) is int:
         return 4 * value
+    if not isinstance(value, (Fraction, str)):
+        raise TypeError(f"q-exponent {value!r} is not an int, a Fraction or a str")
     f = Fraction(value)
     if 4 % f.denominator:
         raise ValueError(f"q-exponent {f} does not have denominator 1, 2 or 4")
@@ -205,7 +208,9 @@ class BivariatePolynomial:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
+        if not isinstance(other, BivariatePolynomial):
+            if not isinstance(other, int):
+                return NotImplemented
             other = BivariatePolynomial.term(other)
         if not other._rows:
             return self
@@ -224,15 +229,15 @@ class BivariatePolynomial:
         return _poly({z: (lo, -p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
-            other = BivariatePolynomial.term(other)
-        return self + (-other)
+        return self + (-other)  # + refuses what is neither int nor polynomial
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other) -> "BivariatePolynomial":
-        if isinstance(other, int):
+        if not isinstance(other, BivariatePolynomial):
+            if not isinstance(other, int):
+                return NotImplemented
             other = BivariatePolynomial.term(other)
         norm = self._norm * other._norm
         bits = max(self._bits, other._bits, _width(norm))

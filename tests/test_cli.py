@@ -1,5 +1,16 @@
+"""CLI tests, and the CLI output corpus: ``tests/data/cli_corpus.txt`` holds
+one request a line with the sha256 of its (exit code, stdout, stderr).  A
+change that means to move output regenerates it and lists the requests
+that moved::
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+import hashlib
+import io
 import json
 import os
+import shlex
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -89,6 +100,60 @@ def test_verify_suite_pass(capsys):
     )
     assert code == 0
     assert "suite sanderson: PASS" in out
+
+
+def test_empty_word_is_the_identity_word(capsys):
+    # it used to exit 2 with "requires --word"
+    for command in ("crystal", "oracle"):
+        argv = [command, "--s", "1", "--t", "1", "--word"]
+        code, out = run(argv + [""], capsys)
+        assert code == 0 and run(argv + ["w+0"], capsys) == (code, out)
+
+
+CORPUS = Path(__file__).parent / "data" / "cli_corpus.txt"
+
+
+def corpus_requests():
+    """Every weight s + t <= 3, level 0 included: each character route and
+    format at L = -1..5, the oracle and a Demazure crystal for each word, and
+    each crystal format at L = -1..3; every suite at the defaults and at
+    --max-k 3 --max-L 4; the empty word."""
+    routes = ("path", "recursive", "bosonic", "fermionic", "demazure+", "demazure-", "oracle")
+    words = [f"w{sign}{L}" for sign in "+-" for L in range(5)] + ["r1r0"]
+    for s in range(4):
+        for t in range(4 - s):
+            w = ("--s", str(s), "--t", str(t))
+            for L in range(-1, 6):
+                for route in routes:
+                    for fmt in ("table", "json"):
+                        yield ("character", *w, "-L", str(L), "--route", route, "--format", fmt)
+            for word in words:
+                yield ("oracle", *w, "--word", word)
+                yield ("crystal", *w, "--word", word)
+            for L in range(-1, 4):
+                for fmt in ("table", "json", "dot"):
+                    yield ("crystal", *w, "-L", str(L), "--format", fmt)
+    for suite in SUITES + ("path-character", "f-symmetry"):
+        yield ("verify", "--suite", suite)
+        yield ("verify", "--suite", suite, "--max-k", "3", "--max-L", "4")
+    for command in ("oracle", "crystal"):
+        yield (command, "--s", "1", "--t", "1", "--word", "")
+
+
+def digest(argv) -> str:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return hashlib.sha256(f"{code}\0{out.getvalue()}\0{err.getvalue()}".encode()).hexdigest()
+
+
+def test_cli_corpus():
+    """Every corpus request gives the digest it was recorded with; a failure
+    names every request that moved."""
+    corpus = [line.split("  ", 1) for line in CORPUS.read_text().splitlines()]
+    assert len(corpus) >= 1362
+    moved = [request for sha, request in corpus if digest(shlex.split(request)) != sha]
+    assert not moved, f"{len(moved)} requests moved:\n" + "\n".join(moved)
 
 
 def test_deterministic_output(capsys):
@@ -217,3 +282,7 @@ def test_route_fault_is_not_a_usage_error(monkeypatch, capsys):
     with pytest.raises(ValueError, match="remainder"):
         main(["character", "--s", "1", "--t", "1", "-L", "3", "--route", "bosonic"])
     assert capsys.readouterr().err == ""
+
+
+if __name__ == "__main__":
+    CORPUS.write_text("".join(f"{digest(argv)}  {shlex.join(argv)}\n" for argv in corpus_requests()))

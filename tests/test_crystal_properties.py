@@ -1,6 +1,7 @@
-"""Crystal axioms on random tuples, drawn as random f-tilde walks from the
-vacuum (the walk is the hypothesis example, so failures shrink to short
-walks)."""
+"""Crystal axioms on random tuples of level <= 4, drawn as random f-tilde
+walks from the vacuum (the walk is the hypothesis example, so failures
+shrink to short walks); many reach beyond the crystals that the
+demazure-crystal suite checks vertex by vertex."""
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -12,8 +13,8 @@ from demcrystal.weights import ALPHA, pairing  # noqa: E402
 
 @st.composite
 def tuples(draw):
-    s = draw(st.integers(0, 3))
-    t = draw(st.integers(0 if s else 1, 3 - s))
+    s = draw(st.integers(0, 4))
+    t = draw(st.integers(0 if s else 1, 4 - s))
     T = EYDTuple.vacuum(s, t)
     for i in draw(st.lists(st.sampled_from((0, 1)), max_size=14)):
         U = f_tilde(i, T)
@@ -31,7 +32,7 @@ def string_length(op, i, T, cap: int = 100) -> int:
     return n
 
 
-@settings(derandomize=True, database=None, deadline=1000, max_examples=300)
+@settings(derandomize=True, database=None, deadline=1000, max_examples=400)
 @given(tuples())
 def test_crystal_axioms(T):
     wt = T.weight()
@@ -40,6 +41,9 @@ def test_crystal_axioms(T):
         if U is not None:
             assert e_tilde(i, U) == T
             assert U.weight() == wt - ALPHA[i]
+        V = e_tilde(i, T)
+        if V is not None:
+            assert f_tilde(i, V) == T
         assert phi_i(T, i) - epsilon_i(T, i) == pairing(wt, i)
         assert phi_i(T, i) == string_length(f_tilde, i, T)
         assert epsilon_i(T, i) == string_length(e_tilde, i, T)

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from demcrystal import eyd
@@ -17,7 +15,7 @@ from demcrystal.eyd import (
     reduce_signature,
 )
 from demcrystal.verify import weights_up_to
-from demcrystal.weights import ALPHA, ALPHA0, ALPHA1, LAMBDA1, Weight
+from demcrystal.weights import ALPHA0, ALPHA1, LAMBDA1, Weight
 
 
 def test_make_trims_and_validates():
@@ -140,42 +138,6 @@ def test_inclusion_invariant_enforced():
     with pytest.raises(ValueError):
         EYDTuple((ExtendedYoungDiagram.make(0, (-4,)), good))  # beyond the 2-shift
     EYDTuple((deep, good))  # deeper first component within the shift is fine
-
-
-def random_walk(rng, s, t, nsteps):
-    T = EYDTuple.vacuum(s, t)
-    for _ in range(nsteps):
-        i = rng.choice((0, 1))
-        U = f_tilde(i, T)
-        if U is not None:
-            T = U
-    return T
-
-
-def test_inverse_pair_property():
-    rng = random.Random(17)
-    for _ in range(400):
-        s = rng.randint(0, 2)
-        t = rng.randint(0 if s else 1, 2)
-        T = random_walk(rng, s, t, rng.randint(0, 12))
-        for i in (0, 1):
-            U = f_tilde(i, T)
-            if U is not None:
-                assert e_tilde(i, U) == T
-                assert U.weight() == T.weight() - ALPHA[i]
-            V = e_tilde(i, T)
-            if V is not None:
-                assert f_tilde(i, V) == T
-
-
-def test_epsilon_phi_weight_rule():
-    # phi_i - epsilon_i = <wt T, h_i>
-    rng = random.Random(23)
-    for _ in range(200):
-        T = random_walk(rng, 1, 1, rng.randint(0, 10))
-        wt = T.weight()
-        assert phi_i(T, 0) - epsilon_i(T, 0) == wt.a0
-        assert phi_i(T, 1) - epsilon_i(T, 1) == wt.a1
 
 
 def test_json_roundtrip():

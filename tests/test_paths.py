@@ -95,10 +95,12 @@ def test_step_letters_must_be_integral():
     lam = Weight(1, 1, 0)
     with pytest.raises(ValueError, match="expected 3 free letters"):
         from_letters(lam, 3, (0, 1))
-    # 1/2 is not a letter; -1 and k + 1 lie outside 0..k
-    for m in (0.5, -1, 3):
+    # 1/2 and the bools are not letters; -1 and k + 1 lie outside 0..k
+    for m in (0.5, -1, 3, True, False):
         with pytest.raises(ValueError, match="not allowed at level 2"):
             from_letters(lam, 3, (0, m, 1))
+    with pytest.raises(ValueError, match="not allowed at level 2"):
+        highest_lift((True, 0), lam)
 
 
 def test_highest_lift_rejects_bad_letter():

@@ -1,3 +1,4 @@
+import operator
 import random
 from fractions import Fraction
 
@@ -56,6 +57,22 @@ def test_quarter_exponents_only():
             ONE.coefficient(qe=bad)
         with pytest.raises(ValueError):
             BivariatePolynomial.from_json_obj([{"ze": 0, "qe": str(bad), "c": "1"}])
+
+
+def test_only_exact_exponents_and_operands():
+    # qpow(0.25) was q^(1/4), ONE.q_shift(True) was q, and ONE + 1.5 raised
+    # AttributeError
+    for call in (qpow, ONE.q_shift, lambda qe: ONE.coefficient(qe=qe)):
+        for bad in (0.25, 1.0, True, None):
+            with pytest.raises(TypeError):
+                call(bad)
+    with pytest.raises(TypeError):
+        BivariatePolynomial.from_json_obj([{"ze": 0, "qe": 0.5, "c": "1"}])
+    assert qpow("3/4") == qpow(Fraction(3, 4))  # the str JSON carries
+    for op in (operator.add, operator.sub, operator.mul):
+        for args in ((ONE, 1.5), (1.5, ONE)):
+            with pytest.raises(TypeError):
+                op(*args)
 
 
 def test_constructor_reads_terms():
