@@ -9,7 +9,6 @@ from contextlib import nullcontext
 from . import characters as ch
 from . import verify
 from .demazure import demazure_crystal_recursive, export_graph, generate_crystal, subgraph
-from .eyd import EYDTuple
 from .weights import (
     Weight,
     demazure_character_oracle,
@@ -92,13 +91,7 @@ def cmd_crystal(args, out) -> int:
         G = generate_crystal(lam, args.L)
     else:
         raise SystemExit2("crystal requires --word or -L")
-    if args.format == "table":
-        for T in sorted(G.vertices, key=EYDTuple.key):
-            wt = T.weight()
-            out.write(f"{T.key()}  wt=({wt.a0},{wt.a1},{wt.d})\n")
-        out.write(f"total {len(G.vertices)}\n")
-    else:
-        out.write(export_graph(G, args.format))
+    out.write(export_graph(G, args.format))
     return EXIT_OK
 
 

@@ -107,27 +107,25 @@ def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:
 
 # -- export ---------------------------------------------------------------------
 
-def _vertex_label(T: EYDTuple) -> str:
-    cols = ", ".join(
-        "[" + " ".join(str(y) for y in Y.columns) + "]" for Y in T.diagrams
-    )
+def _weight_text(T: EYDTuple) -> str:
     w = T.weight()
-    return f"({cols}) wt=({w.a0},{w.a1},{w.d})"
-
-
-def _sorted_vertices(G: CrystalGraph) -> list[EYDTuple]:
-    return sorted(G.vertices, key=lambda T: T.key())
+    return f"wt=({w.a0},{w.a1},{w.d})"
 
 
 def export_graph(G: CrystalGraph, fmt: str) -> str:
-    """Deterministic DOT or JSON rendering of a crystal graph."""
-    verts = _sorted_vertices(G)
+    """Deterministic table, JSON or DOT rendering of a crystal graph, with
+    the vertices in ``EYDTuple.key`` order."""
+    verts = sorted(G.vertices, key=EYDTuple.key)
+    if fmt == "table":
+        rows = [f"{T.key()}  {_weight_text(T)}\n" for T in verts]
+        return "".join(rows) + f"total {len(verts)}\n"
     index = {T: n for n, T in enumerate(verts)}
     edges = sorted(G.edges, key=lambda e: (index[e[0]], e[1], index[e[2]]))
     if fmt == "dot":
         lines = ["digraph crystal {"]
         for n, T in enumerate(verts):
-            lines.append(f'  v{n} [label="{_vertex_label(T)}"];')
+            cols = ", ".join("[" + " ".join(map(str, Y.columns)) + "]" for Y in T.diagrams)
+            lines.append(f'  v{n} [label="({cols}) {_weight_text(T)}"];')
         for a, i, b in edges:
             lines.append(f'  v{index[a]} -> v{index[b]} [label="{i}"];')
         lines.append("}")
@@ -145,12 +143,21 @@ def export_graph(G: CrystalGraph, fmt: str) -> str:
 
 
 def graph_from_json(text: str) -> CrystalGraph:
+    """The graph ``export_graph(G, "json")`` wrote; an edge whose source or
+    target is not an int index of a vertex, or whose color is not 0 or 1,
+    raises ValueError."""
     obj = json.loads(text)
     verts = [EYDTuple.from_json_obj(o) for o in obj["vertices"]]
-    edges = frozenset(
-        (verts[e["source"]], e["color"], verts[e["target"]]) for e in obj["edges"]
-    )
-    return CrystalGraph(frozenset(verts), edges)
+    n = len(verts)
+    edges = []
+    for e in obj["edges"]:
+        a, i, b = e["source"], e["color"], e["target"]
+        # a bool is an int, and a negative index would count from the end
+        if not (type(a) is type(i) is type(b) is int and 0 <= a < n and 0 <= b < n
+                and i in (0, 1)):
+            raise ValueError(f"invalid crystal edge {e!r}")
+        edges.append((verts[a], i, verts[b]))
+    return CrystalGraph(frozenset(verts), frozenset(edges))
 
 
 def subgraph(G: CrystalGraph, subset) -> CrystalGraph:

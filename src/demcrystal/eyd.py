@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .weights import ALPHA0, ALPHA1, Weight, fundamental
+from .weights import Weight
 
 CONCAVE = "concave"
 CONVEX = "convex"
@@ -103,18 +103,11 @@ class ExtendedYoungDiagram:
         """(white, black) node counts; node at column j, cell top n has d = j + n."""
         k0 = k1 = 0
         for j, yj in enumerate(self.columns):
-            # node tops run over j + yj + 1 .. j + charge
-            lo = j + yj + 1
-            hi = j + self.charge
-            total = hi - lo + 1
-            evens = len(range(lo + (lo % 2), hi + 1, 2))
+            # node tops run over j + yj + 1 .. j + charge; the white ones are even
+            evens = (j + self.charge) // 2 - (j + yj) // 2
             k0 += evens
-            k1 += total - evens
+            k1 += self.charge - yj - evens
         return k0, k1
-
-    def weight(self) -> Weight:
-        k0, k1 = self.node_counts()
-        return fundamental(self.charge) - k0 * ALPHA0 - k1 * ALPHA1
 
     def corners(self) -> list[Corner]:
         """All concave (box-addable) and convex (box-removable) corners.
@@ -168,7 +161,6 @@ class SignatureEntry:
     diagram: int  # 1-based position in the tuple
     diagonal: int
     column: int
-    shape: str
 
 
 @dataclass(frozen=True)
@@ -206,29 +198,20 @@ class EYDTuple:
             + tuple(ExtendedYoungDiagram.empty(1) for _ in range(t))
         )
 
-    @property
-    def k(self) -> int:
-        return len(self.diagrams)
-
-    @property
-    def s(self) -> int:
-        return sum(1 for Y in self.diagrams if Y.charge == 0)
-
-    @property
-    def t(self) -> int:
-        return sum(1 for Y in self.diagrams if Y.charge == 1)
-
     def weight(self) -> Weight:
-        out = Weight(0, 0, 0)
+        """Lambda minus the colored nodes: the sum over the diagrams of
+        Lambda_charge - k0 alpha_0 - k1 alpha_1, with alpha_0 = (2, -2, 1)
+        and alpha_1 = (-2, 2, 0)."""
+        t = k0 = k1 = 0
         for Y in self.diagrams:
-            out = out + Y.weight()
-        return out
+            y0, y1 = Y.node_counts()
+            t += Y.charge
+            k0 += y0
+            k1 += y1
+        return Weight(len(self.diagrams) - t - 2 * (k0 - k1), t + 2 * (k0 - k1), -k0)
 
     def widths(self) -> tuple[int, ...]:
         return tuple([len(Y.columns) for Y in self.diagrams])
-
-    def is_vacuum(self) -> bool:
-        return all(Y.width == 0 for Y in self.diagrams)
 
     def to_json_obj(self) -> list:
         return [Y.to_json_obj() for Y in self.diagrams]
@@ -258,7 +241,7 @@ def i_signature(T: EYDTuple, i: int) -> list[SignatureEntry]:
         for c in Y.corners():
             if c.color == i:
                 bit = 0 if c.shape == CONCAVE else 1
-                entries.append(SignatureEntry(bit, pos, c.diagonal, c.column, c.shape))
+                entries.append(SignatureEntry(bit, pos, c.diagonal, c.column))
     entries.sort(key=lambda e: (-e.diagonal, e.diagram))
     return entries
 

@@ -2,12 +2,13 @@
 
 z-exponents are integers and q-exponents lie in (1/4)Z.  Internally a
 q-exponent r is the int 4r, its count of quarters, and the constructor
-takes terms in that form, {(z-exponent, 4r): coefficient} with int keys,
-the form ``terms`` returns.  Rational q-exponents are accepted only at the
-public boundary (``term``, ``qpow``, ``q_shift``, ``coefficient``,
-``from_json_obj``), where ``_quarters`` converts them and raises ValueError
-for any denominator that does not divide 4.  ``to_text`` and
-``to_json_obj`` print quarters back as reduced fractions.
+takes terms in that form, {(z-exponent, 4r): coefficient} with int (not
+bool) keys and coefficients, the form ``terms`` returns.  Rational
+q-exponents are accepted only at the public boundary (``term``, ``qpow``,
+``q_shift``, ``coefficient``, ``from_json_obj``), where ``_quarters``
+converts them and raises ValueError for any denominator that does not
+divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
+fractions.
 
 Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
 z-power a are stored as one pair ``(lo, p)``: lo is the lowest quarter
@@ -27,6 +28,7 @@ arithmetic is exact at any size.
 """
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
@@ -45,6 +47,10 @@ def _quarters(value) -> int:
     if 4 % f.denominator:
         raise ValueError(f"q-exponent {f} does not have denominator 1, 2 or 4")
     return f.numerator * (4 // f.denominator)
+
+
+# a coefficient as to_json_obj writes it: the str of an int
+_DECIMAL = re.compile(r"-?[0-9]+")
 
 
 def _reduced(q4: int) -> tuple[int, int]:
@@ -152,8 +158,10 @@ class BivariatePolynomial:
         by_z: dict[int, dict[int, int]] = {}
         norm = 0
         for (z, q4), c in (terms or {}).items():
+            if not type(z) is type(q4) is type(c) is int:  # a bool or a float equals an int
+                raise TypeError(f"term {(z, q4)!r}: {c!r} holds a value that is not an int")
             if c:
-                by_z.setdefault(index(z), {})[index(q4)] = c
+                by_z.setdefault(z, {})[q4] = c
                 norm += abs(c)
         bits = _width(norm)
         rows = {}
@@ -190,7 +198,7 @@ class BivariatePolynomial:
         return bool(self._rows)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, int):
+        if type(other) is int:
             other = BivariatePolynomial.term(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
@@ -209,7 +217,7 @@ class BivariatePolynomial:
 
     def __add__(self, other) -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
-            if not isinstance(other, int):
+            if type(other) is not int:
                 return NotImplemented
             other = BivariatePolynomial.term(other)
         if not other._rows:
@@ -229,6 +237,8 @@ class BivariatePolynomial:
         return _poly({z: (lo, -p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
+        if type(other) is bool:  # -True is the int -1, which + would take
+            return NotImplemented
         return self + (-other)  # + refuses what is neither int nor polynomial
 
     def __rsub__(self, other):
@@ -236,7 +246,7 @@ class BivariatePolynomial:
 
     def __mul__(self, other) -> "BivariatePolynomial":
         if not isinstance(other, BivariatePolynomial):
-            if not isinstance(other, int):
+            if type(other) is not int:
                 return NotImplemented
             other = BivariatePolynomial.term(other)
         norm = self._norm * other._norm
@@ -399,13 +409,16 @@ class BivariatePolynomial:
     @classmethod
     def from_json_obj(cls, obj) -> "BivariatePolynomial":
         """The polynomial ``to_json_obj`` wrote; two terms with the same
-        exponents raise ValueError, since one of them would be lost."""
+        exponents raise ValueError, since one of them would be lost, and the
+        constructor refuses a ze or c that is not an int (c may also be the
+        decimal str ``to_json_obj`` writes)."""
         terms = {}
         for t in obj:
-            key = (int(t["ze"]), _quarters(t["qe"]))
+            key = (t["ze"], _quarters(t["qe"]))
             if key in terms:
                 raise ValueError(f"two terms with ze={key[0]}, qe={t['qe']}")
-            terms[key] = int(t["c"])
+            c = t["c"]
+            terms[key] = int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
         return cls(terms)
 
 

@@ -99,7 +99,7 @@ def _vertex_ok(T: EYDTuple, s: int) -> bool:
     Y_{s+1} differ in width when s, t >= 1; no f_i grows a width by more
     than 1; e_i f_i T = T with the weight lowered by alpha_i; f_i e_i T = T."""
     w = T.widths()
-    if 0 < s < len(w) and w[0] == w[s] and not T.is_vacuum():
+    if 0 < s < len(w) and w[0] == w[s] and any(w):
         return False
     wt = T.weight()
     for i in (0, 1):

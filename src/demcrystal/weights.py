@@ -37,8 +37,10 @@ class Weight:
 def require_dominant(lam: Weight) -> None:
     """The one guard of every route that takes a weight: paths, crystals
     and characters exist only for a dominant weight with no delta part and
-    of level >= 1; any other weight raises ValueError."""
-    if lam.a0 < 0 or lam.a1 < 0 or lam.d != 0 or lam.level < 1:
+    of level >= 1, with int coefficients (not bools or floats, which
+    compare equal to ints); any other weight raises ValueError."""
+    if (any(type(x) is not int for x in (lam.a0, lam.a1, lam.d))
+            or lam.a0 < 0 or lam.a1 < 0 or lam.d != 0 or lam.level < 1):
         raise ValueError("requires a dominant weight of level >= 1")
 
 
@@ -49,11 +51,6 @@ ALPHA0 = Weight(2, -2, 1)
 ALPHA1 = Weight(-2, 2, 0)
 
 ALPHA = (ALPHA0, ALPHA1)
-
-
-def fundamental(i: int) -> Weight:
-    """Lambda_i with the index extended mod 2."""
-    return LAMBDA0 if i % 2 == 0 else LAMBDA1
 
 
 def pairing(mu: Weight, i: int) -> int:

@@ -233,12 +233,15 @@ def test_weak_admissibility():
 
 
 @pytest.mark.parametrize(
-    "lam", [Weight(-1, 2, 0), Weight(2, -1, 0), Weight(1, 0, 3), Weight(0, 0, 0)]
+    "lam",
+    [Weight(-1, 2, 0), Weight(2, -1, 0), Weight(1, 0, 3), Weight(0, 0, 0),
+     Weight(True, False, 0), Weight(1.0, 1, 0), Weight(1, 1, 0.0)],
 )
 def test_non_dominant_weights_are_refused(lam):
     # no such weight has paths, a crystal or a character: a negative
     # coefficient used to give a silent 0, a delta part was ignored, and the
-    # path and oracle routes gave 1 at level 0
+    # path and oracle routes gave 1 at level 0; a bool or a float equals an
+    # int, so (True, False, 0) was read as Lambda_0 and 1.0 died in range()
     calls = (
         lambda: ch_via_f(lam, 2),
         lambda: F_fermionic(lam, 1, 0),

@@ -1,12 +1,16 @@
+import json
+
 import pytest
 
 from demcrystal.demazure import (
+    CrystalGraph,
     demazure_crystal_direct,
     export_graph,
     generate_crystal,
     graph_from_json,
     subgraph,
 )
+from demcrystal.eyd import EYDTuple
 from demcrystal.weights import Weight
 
 
@@ -21,18 +25,41 @@ def test_generate_crystal_anchor():
 
 def test_export_json_roundtrip():
     G = generate_crystal(Weight(1, 1, 0), 2)
-    H = graph_from_json(export_graph(G, "json"))
+    text = export_graph(G, "json")
+    H = graph_from_json(text)
     assert H.vertices == G.vertices
     assert H.edges == G.edges
+    # an edge is an int index into the vertex list and a color 0 or 1; -1
+    # was read as the last vertex and "7" as a color
+    good = {"source": 0, "color": 0, "target": 1}
+    n = len(G.vertices)
+    for bad in ({"source": -1, "color": "7", "target": 0}, {"source": -1}, {"target": n},
+                {"source": True}, {"source": 0.0}, {"color": 2}, {"color": True},
+                {"color": "0"}):
+        obj = json.loads(text)
+        obj["edges"].append({**good, **bad})
+        with pytest.raises(ValueError, match="invalid crystal edge"):
+            graph_from_json(json.dumps(obj))
 
 
 def test_export_dot_deterministic():
     G = generate_crystal(Weight(2, 0, 0), 2)
+    # the same graph with its sets filled in another insertion order
+    H = CrystalGraph(frozenset(sorted(G.vertices, key=EYDTuple.key, reverse=True)),
+                     frozenset(reversed(list(G.edges))))
     a = export_graph(G, "dot")
-    b = export_graph(G, "dot")
-    assert a == b
+    assert a == export_graph(G, "dot") == export_graph(H, "dot")
     assert a.startswith("digraph")
     assert a.count("label=") == len(G.vertices) + len(G.edges)
+    assert export_graph(G, "json") == export_graph(H, "json")
+    table = export_graph(G, "table")
+    assert table == export_graph(H, "table")
+    # one row per vertex in key order, then the count
+    rows = []
+    for T in sorted(G.vertices, key=EYDTuple.key):
+        w = T.weight()
+        rows.append(f"{T.key()}  wt=({w.a0},{w.a1},{w.d})")
+    assert table.splitlines() == rows + [f"total {len(G.vertices)}"]
 
 
 def test_export_rejects_unknown_format():

@@ -44,7 +44,7 @@ def test_single_diagram_example():
     # Y = (-2,-1,-1,0,0,1,1,...) of charge 1
     Y = ExtendedYoungDiagram.make(1, (-2, -1, -1, 0, 0))
     assert Y.width == 5
-    assert Y.weight() == LAMBDA1 - 4 * ALPHA0 - 5 * ALPHA1
+    assert EYDTuple((Y,)).weight() == LAMBDA1 - 4 * ALPHA0 - 5 * ALPHA1
 
     cs = {(c.m, c.n, c.shape): c.color for c in Y.corners()}
     assert cs[(1, -2, CONVEX)] == 1
@@ -124,10 +124,10 @@ def test_worked_example_counts():
 
 def test_vacuum():
     T = EYDTuple.vacuum(2, 1)
-    assert T.s == 2 and T.t == 1 and T.k == 3
+    assert len(T.diagrams) == 3 and [Y.charge for Y in T.diagrams] == [0, 0, 1]
     assert T.weight() == Weight(2, 1, 0)
     assert e_tilde(0, T) is None and e_tilde(1, T) is None
-    assert T.is_vacuum()
+    assert not any(T.widths())
 
 
 def test_inclusion_invariant_enforced():

@@ -69,10 +69,28 @@ def test_only_exact_exponents_and_operands():
     with pytest.raises(TypeError):
         BivariatePolynomial.from_json_obj([{"ze": 0, "qe": 0.5, "c": "1"}])
     assert qpow("3/4") == qpow(Fraction(3, 4))  # the str JSON carries
+    # a bool or a float compares equal to an int: ONE + True was 2, ONE ==
+    # True held, and a float coefficient died in _width with a >> message
     for op in (operator.add, operator.sub, operator.mul):
-        for args in ((ONE, 1.5), (1.5, ONE)):
-            with pytest.raises(TypeError):
-                op(*args)
+        for bad in (1.5, True):
+            for args in ((ONE, bad), (bad, ONE)):
+                with pytest.raises(TypeError):
+                    op(*args)
+    assert ONE != True and ZERO != False and ONE == 1  # noqa: E712
+    for terms in ({(0, 0): True}, {(True, 0): 1}, {(0, False): 1}, {(0, 0): 1.5},
+                  {(0, 0): 0.0}):
+        with pytest.raises(TypeError, match="is not an int"):
+            BivariatePolynomial(terms)
+    # the JSON reader truncated {"ze": 0.9, "qe": "1/2", "c": 1.5} to q^(1/2)
+    # and read a ze or c of true as 1
+    for term in ({"ze": 0.9, "c": "1"}, {"ze": True, "c": "1"}, {"ze": "0", "c": "1"},
+                 {"ze": 0, "c": 1.5}, {"ze": 0, "c": True}, {"ze": 0, "c": "1.5"},
+                 {"ze": 0, "c": " 1"}, {"ze": 0, "c": "1_0"}, {"ze": 0, "c": "--1"}):
+        with pytest.raises(TypeError):
+            BivariatePolynomial.from_json_obj([{"qe": "1/2", **term}])
+    for c in ("-12", -12):
+        assert BivariatePolynomial.from_json_obj([{"ze": 0, "qe": "1/2", "c": c}]) == \
+            -12 * qpow(Fraction(1, 2))
 
 
 def test_constructor_reads_terms():

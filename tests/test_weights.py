@@ -7,13 +7,10 @@ from demcrystal.weights import (
     ALPHA0,
     ALPHA1,
     DELTA,
-    LAMBDA0,
-    LAMBDA1,
     Weight,
     apply_word,
     demazure_character_oracle,
     demazure_operator,
-    fundamental,
     is_reduced,
     pairing,
     parse_weyl_word,
@@ -74,12 +71,6 @@ def test_parse_weyl_word():
     for text in ("w+x", "w+1_0", "w-", "w+-1", "w+ 3", "w+\u0663"):
         with pytest.raises(ValueError, match="cannot parse Weyl word"):
             parse_weyl_word(text)
-
-
-def test_fundamental_mod_two():
-    assert fundamental(0) == LAMBDA0
-    assert fundamental(1) == LAMBDA1
-    assert fundamental(2) == LAMBDA0
 
 
 def test_demazure_operator_branches():
