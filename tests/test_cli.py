@@ -117,7 +117,8 @@ def corpus_requests():
     """Every weight s + t <= 3, level 0 included: each character route and
     format at L = -1..5, the oracle and a Demazure crystal for each word, and
     each crystal format at L = -1..3; every suite at the defaults and at
-    --max-k 3 --max-L 4; the empty word."""
+    --max-k 3 --max-L 4; the empty word; then the oracle's JSON for every
+    weight of level 1..4 at w+5..w+8 and w-5..w-8."""
     routes = ("path", "recursive", "bosonic", "fermionic", "demazure+", "demazure-", "oracle")
     words = [f"w{sign}{L}" for sign in "+-" for L in range(5)] + ["r1r0"]
     for s in range(4):
@@ -138,6 +139,11 @@ def corpus_requests():
         yield ("verify", "--suite", suite, "--max-k", "3", "--max-L", "4")
     for command in ("oracle", "crystal"):
         yield (command, "--s", "1", "--t", "1", "--word", "")
+    for level in range(1, 5):
+        for s in range(level + 1):
+            for word in (f"w{sign}{L}" for sign in "+-" for L in range(5, 9)):
+                yield ("oracle", "--s", str(s), "--t", str(level - s), "--word", word,
+                       "--format", "json")
 
 
 def digest(argv) -> str:
@@ -151,7 +157,7 @@ def test_cli_corpus():
     """Every corpus request gives the digest it was recorded with; a failure
     names every request that moved."""
     corpus = [line.split("  ", 1) for line in CORPUS.read_text().splitlines()]
-    assert len(corpus) >= 1362
+    assert len(corpus) >= 1480
     moved = [request for sha, request in corpus if digest(shlex.split(request)) != sha]
     assert not moved, f"{len(moved)} requests moved:\n" + "\n".join(moved)
 
