@@ -145,19 +145,26 @@ def export_graph(G: CrystalGraph, fmt: str) -> str:
 def graph_from_json(text: str) -> CrystalGraph:
     """The graph ``export_graph(G, "json")`` wrote; an edge whose source or
     target is not an int index of a vertex, or whose color is not 0 or 1,
-    raises ValueError."""
+    raises ValueError, and so does a vertex or an edge listed twice, since
+    the graph's sets would silently keep one."""
     obj = json.loads(text)
     verts = [EYDTuple.from_json_obj(o) for o in obj["vertices"]]
+    vertices = frozenset(verts)
+    if len(vertices) != len(verts):
+        raise ValueError("a crystal vertex is listed twice")
     n = len(verts)
-    edges = []
+    edges = set()
     for e in obj["edges"]:
         a, i, b = e["source"], e["color"], e["target"]
         # a bool is an int, and a negative index would count from the end
         if not (type(a) is type(i) is type(b) is int and 0 <= a < n and 0 <= b < n
                 and i in (0, 1)):
             raise ValueError(f"invalid crystal edge {e!r}")
-        edges.append((verts[a], i, verts[b]))
-    return CrystalGraph(frozenset(verts), frozenset(edges))
+        edge = (verts[a], i, verts[b])
+        if edge in edges:
+            raise ValueError(f"crystal edge {e!r} is listed twice")
+        edges.add(edge)
+    return CrystalGraph(vertices, frozenset(edges))
 
 
 def subgraph(G: CrystalGraph, subset) -> CrystalGraph:

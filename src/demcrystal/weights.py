@@ -1,8 +1,12 @@
 """Weight lattice of affine sl(2), Weyl words and the Demazure operator.
 
 Weights are integer triples on the basis (Lambda_0, Lambda_1, delta).
-The Demazure operator acts on the formal character ring Z[P] through its
-geometric-sum closed form, which keeps everything denominator-free.
+The Demazure operator acts on the formal character ring Z[P] in its
+quotient form D_i chi = (chi - e^{-alpha_i} r_i chi) / (1 - e^{-alpha_i}),
+on plain (a0, a1, d) int triples: each term c e^mu puts +c at mu and -c
+at mu - (mu(h_i) + 1) alpha_i, and the division is one running sum down
+each alpha_i-string, so a letter costs O(|chi| log |chi| + |D_i chi|) int
+operations.  The oracle builds its Weight keys once, at the end.
 """
 from __future__ import annotations
 
@@ -124,31 +128,62 @@ def apply_word(word, mu: Weight) -> Weight:
 # A formal character, a finite integer combination of exponentials e^mu, is a
 # {Weight: int} dict with no zero coefficients.
 
-def demazure_operator(i: int, chi: dict[Weight, int]) -> dict[Weight, int]:
-    """D_i on Z[P], via the geometric-sum closed form.
+def _quotient_runs(num: dict[int, int]):
+    """num / (1 - x) on one alpha_i-string, for num given as {position:
+    coefficient} with positions rising toward -alpha_i: the running sum
+    from the +alpha_i end, as (start, stop, value) for each stretch of
+    non-zero value between consecutive numerator positions.  The sum must
+    be 0 past the last position; otherwise num was not divisible, an
+    internal fault, and ValueError is raised."""
+    positions = sorted(num)
+    run = 0
+    for start, stop in zip(positions, positions[1:]):
+        run += num[start]
+        if run:
+            yield start, stop, run
+    if run + num[positions[-1]]:
+        raise ValueError("inexact Demazure division: non-zero remainder")
 
-    For n = mu(h_i): sum of e^{mu - j alpha_i} over 0 <= j <= n when
-    n >= 0; zero when n = -1; minus the sum of e^{mu + j alpha_i} over
-    1 <= j <= -n - 1 when n <= -2.
+
+def _demazure(i: int, chi: dict[tuple[int, int, int], int]) -> dict[tuple[int, int, int], int]:
+    """D_i on a character keyed by (a0, a1, d) triples, in quotient form.
+
+    The alpha_1-string of mu keeps (level, d, a0 mod 2) and has position
+    a0, rising by 2 per -alpha_1; the alpha_0-string keeps (level,
+    a0 - 2d) and has position -d, rising by 1 per -alpha_0.  With n =
+    mu(h_i), mu - (n + 1) alpha_i sits (n + 1) steps past mu.
     """
-    out: dict[Weight, int] = {}
-
-    def bump(mu, c):
-        v = out.get(mu, 0) + c
-        if v:
-            out[mu] = v
+    if i not in (0, 1):
+        raise ValueError(f"invalid simple-coroot index {i}")
+    strings: dict[tuple[int, ...], dict[int, int]] = {}
+    for (a0, a1, d), c in chi.items():
+        if i:
+            key, pos, far = (a0 + a1, d, a0 & 1), a0, a0 + 2 * (a1 + 1)
         else:
-            del out[mu]
-
-    for mu, c in chi.items():
-        n = pairing(mu, i)
-        if n >= 0:
-            for j in range(n + 1):
-                bump(mu - j * ALPHA[i], c)
-        elif n <= -2:
-            for j in range(1, -n):
-                bump(mu + j * ALPHA[i], -c)
+            key, pos, far = (a0 + a1, a0 - 2 * d), -d, a0 + 1 - d
+        num = strings.setdefault(key, {})
+        num[pos] = num.get(pos, 0) + c
+        num[far] = num.get(far, 0) - c
+    out = {}
+    for key, num in strings.items():
+        for start, stop, c in _quotient_runs(num):
+            if i:
+                level, d, _ = key
+                for a0 in range(start, stop, 2):
+                    out[a0, level - a0, d] = c
+            else:
+                level, e = key
+                for p in range(start, stop):
+                    out[e - 2 * p, level - e + 2 * p, -p] = c
     return out
+
+
+def demazure_operator(i: int, chi: dict[Weight, int]) -> dict[Weight, int]:
+    """D_i on Z[P]: for n = mu(h_i), e^mu goes to the sum of e^{mu - j alpha_i}
+    over 0 <= j <= n when n >= 0, to zero when n = -1, and to minus the sum
+    of e^{mu + j alpha_i} over 1 <= j <= -n - 1 when n <= -2."""
+    out = _demazure(i, {(mu.a0, mu.a1, mu.d): c for mu, c in chi.items()})
+    return {Weight(*mu): c for mu, c in out.items()}
 
 
 def demazure_character_oracle(lam: Weight, word) -> dict[Weight, int]:
@@ -156,10 +191,10 @@ def demazure_character_oracle(lam: Weight, word) -> dict[Weight, int]:
     require_dominant(lam)
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    chi = {lam: 1}
+    chi = {(lam.a0, lam.a1, lam.d): 1}
     for i in reversed(word):
-        chi = demazure_operator(i, chi)
-    return chi
+        chi = _demazure(i, chi)
+    return {Weight(*mu): c for mu, c in chi.items()}
 
 
 def specialize(chi: dict[Weight, int], lam: Weight) -> BivariatePolynomial:
@@ -169,12 +204,13 @@ def specialize(chi: dict[Weight, int], lam: Weight) -> BivariatePolynomial:
     after dividing by e^Lambda.  Rejects terms outside the affine line
     Lambda + Z alpha_1 + Z delta.
     """
+    l0, l1, ld = lam.a0, lam.a1, lam.d
     out: dict[tuple[int, int], int] = {}
     for mu, c in chi.items():
-        x = mu - lam
-        if x.a0 != -x.a1 or x.a1 % 2 != 0:
+        x0, x1 = mu.a0 - l0, mu.a1 - l1
+        if x0 != -x1 or x1 % 2 != 0:
             raise ValueError(f"term e^{mu} is not of the form Lambda + j*alpha1 - n*delta")
         # key (-j, 4n): q-exponents in quarter units; distinct weights give
         # distinct keys, so nothing needs summing
-        out[(-(x.a1 // 2), -4 * x.d)] = c
+        out[(-(x1 // 2), 4 * (ld - mu.d))] = c
     return BivariatePolynomial(out)

@@ -4,7 +4,7 @@ Every grid is a ``demcrystal.verify`` suite, walked by ``run_engine``.
 """
 from conftest import ACCEPTANCE_LINES, run_engine
 from demcrystal import verify
-from demcrystal.characters import demazure_ch
+from demcrystal.characters import demazure_ch, demazure_ch_oracle
 from demcrystal.weights import Weight
 
 
@@ -52,6 +52,15 @@ def test_a4_demazure_character_triangle():
         ok = False
         first_bad = first_bad or "anchor 2L0, L=2"
     report("A4 Demazure character triangle (s+t<=3, L<=5)", ok, first_bad)
+
+
+def test_demazure_character_oracle_level4_grid():
+    # a larger grid beside A4's: the layer formula against the operator
+    # oracle for every weight of level <= 4 at L <= 8, both signs
+    cells = [(lam, sign, L) for lam in verify.weights_up_to(4) for L in range(1, 9) for sign in "+-"]
+    assert len(cells) == 224
+    bad = [cell for cell in cells if demazure_ch(*cell) != demazure_ch_oracle(*cell)]
+    assert bad == []
 
 
 def test_a5_specializations():

@@ -42,6 +42,16 @@ def test_export_json_roundtrip():
             graph_from_json(json.dumps(obj))
 
 
+def test_json_rejects_listed_twice():
+    # a copy of vertex 0 or of edge 0 used to read back as 2 vertices and 1 edge
+    text = export_graph(generate_crystal(Weight(1, 0, 0), 1), "json")
+    for part, match in (("vertices", "vertex is listed twice"), ("edges", "edge .* is listed twice")):
+        obj = json.loads(text)
+        obj[part].append(obj[part][0])
+        with pytest.raises(ValueError, match=match):
+            graph_from_json(json.dumps(obj))
+
+
 def test_export_dot_deterministic():
     G = generate_crystal(Weight(2, 0, 0), 2)
     # the same graph with its sets filled in another insertion order

@@ -156,9 +156,11 @@ def test_route_rule_catches_the_pattern():
 # definition (its recursion reads its own earlier values) and is exempt.
 # The crystal operators and generators are cross-checked routes too: the
 # EYD kernel may cache per-diagram geometry, never a tuple or a crystal.
+# The Demazure-operator oracle checks both, and recomputes every call too.
 UNMEMOIZED_ROUTES = (
     "f_bosonic", "f_fermionic", "F_fermionic",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
+    "demazure_operator", "demazure_character_oracle", "_demazure",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
 
@@ -201,6 +203,7 @@ def test_memo_rule_catches_the_pattern():
         "@functools.lru_cache(maxsize=None)\ndef generate_crystal(lam, L):\n    pass\n"
         "@lru_cache(maxsize=None)\ndef _corner_entries(pos, charge, columns):\n    pass\n"
         "f_tilde = cache(f_tilde)\n"
+        "demazure_character_oracle = lru_cache(None)(demazure_character_oracle)\n"
     )
     assert sorted(memoized_routes(ast.parse(source))) == [
         (3, "f_bosonic is memoized"),
@@ -209,4 +212,5 @@ def test_memo_rule_catches_the_pattern():
         (19, "f_fermionic is rebound"),
         (20, "generate_crystal is memoized"),
         (26, "f_tilde is rebound"),
+        (27, "demazure_character_oracle is rebound"),
     ]

@@ -4,10 +4,14 @@ import pytest
 
 from demcrystal.qlaurent import ONE, qpow, zpow
 from demcrystal.weights import (
+    ALPHA,
     ALPHA0,
     ALPHA1,
     DELTA,
+    LAMBDA0,
+    LAMBDA1,
     Weight,
+    _quotient_runs,
     apply_word,
     demazure_character_oracle,
     demazure_operator,
@@ -92,6 +96,93 @@ def test_demazure_operator_branches():
     assert sum(d.values()) == -1
 
 
+def reference_demazure_operator(i, chi):
+    """D_i by its geometric-sum closed form, one term at a time: for
+    n = mu(h_i), the sum of e^{mu - j alpha_i} over 0 <= j <= n when n >= 0;
+    zero when n = -1; minus the sum of e^{mu + j alpha_i} over
+    1 <= j <= -n - 1 when n <= -2."""
+    out = {}
+
+    def bump(mu, c):
+        v = out.get(mu, 0) + c
+        if v:
+            out[mu] = v
+        else:
+            del out[mu]
+
+    for mu, c in chi.items():
+        n = pairing(mu, i)
+        if n >= 0:
+            for j in range(n + 1):
+                bump(mu - j * ALPHA[i], c)
+        elif n <= -2:
+            for j in range(1, -n):
+                bump(mu + j * ALPHA[i], -c)
+    return out
+
+
+def test_demazure_operator_matches_reference_on_single_terms():
+    # n = mu(h_i) runs over -6..6: n >= 0, n = -1 and n <= -2 on both strings
+    for a0 in range(-6, 7):
+        for a1 in range(-6, 7):
+            for d in range(-3, 4):
+                mu = Weight(a0, a1, d)
+                for i in (0, 1):
+                    for c in (1, -3):
+                        assert demazure_operator(i, {mu: c}) == reference_demazure_operator(i, {mu: c})
+
+
+def test_demazure_operator_matches_reference_on_sums():
+    rng = random.Random(16)
+    for _ in range(300):
+        chi = {}
+        for _ in range(rng.randint(1, 8)):
+            mu = Weight(rng.randint(-5, 5), rng.randint(-5, 5), rng.randint(-2, 2))
+            chi[mu] = chi.get(mu, 0) + rng.choice((-2, -1, 1, 3))
+            if rng.random() < 0.5:
+                # a second term on the same alpha_i-string, for both i
+                i = rng.randint(0, 1)
+                nu = mu + rng.randint(-4, 4) * ALPHA[i]
+                chi[nu] = chi.get(nu, 0) + rng.choice((-1, 1))
+        chi = {mu: c for mu, c in chi.items() if c}
+        for i in (0, 1):
+            assert demazure_operator(i, chi) == reference_demazure_operator(i, chi)
+    for i in (0, 1):
+        for mu in (Weight(3, -1, 0), Weight(-4, 2, 1), Weight(0, 0, 0), Weight(1, 5, -2)):
+            # D_i e^{r_i(mu) - alpha_i} = -D_i e^mu: the whole string cancels
+            partner = reflect(i, mu) - ALPHA[i]
+            assert demazure_operator(i, {mu: 2, partner: 2}) == {}
+            # cancelling terms on one alpha_i-string beside terms of other levels
+            chi = {mu: 1, mu + ALPHA[i]: -1, mu - 3 * ALPHA[i]: 2, mu + LAMBDA0: 1,
+                   mu - LAMBDA1: 1, mu - LAMBDA1 + 2 * ALPHA[i]: -1}
+            assert demazure_operator(i, chi) == reference_demazure_operator(i, chi)
+
+
+def test_quotient_runs():
+    # (1 - x^3) / (1 - x) = 1 + x + x^2: one run from 0 up to 3
+    assert list(_quotient_runs({0: 1, 3: -1})) == [(0, 3, 1)]
+    # runs of zero value are skipped
+    assert list(_quotient_runs({0: 2, 2: -2, 5: 1, 6: -1})) == [(0, 2, 2), (5, 6, 1)]
+    for num in ({0: 1}, {0: 1, 3: -2}, {-4: 1, 0: 0}):
+        with pytest.raises(ValueError, match="non-zero remainder"):
+            list(_quotient_runs(num))
+
+
+def test_demazure_operator_rejects_bad_index():
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="simple-coroot index"):
+            demazure_operator(i, {Weight(1, 0, 0): 1})
+
+
+def test_oracle_matches_reference_fold():
+    for lam in (Weight(1, 0, 0), Weight(0, 1, 0), Weight(2, 1, 0), Weight(1, 3, 0)):
+        for word in (weyl_word_plus(5), weyl_word_minus(5)):
+            chi = {lam: 1}
+            for i in reversed(word):
+                chi = reference_demazure_operator(i, chi)
+            assert demazure_character_oracle(lam, word) == chi
+
+
 def test_demazure_operator_idempotent():
     rng = random.Random(2)
     for _ in range(40):
@@ -138,4 +229,10 @@ def test_specialize_anchor():
     chi = demazure_character_oracle(lam, (0,))
     poly = specialize(chi, lam)
     assert poly == ONE + zpow(-1) * qpow(1) + zpow(-2) * qpow(2)
+    # e^{Lambda + j alpha_1 - n delta} -> z^{-j} q^n, at a Lambda with a delta part too
+    mu = Weight(1, 2, -1)
+    assert specialize({mu + 2 * ALPHA1 - 3 * DELTA: -2}, mu) == -2 * zpow(-2) * qpow(3)
+    for off in (LAMBDA0, LAMBDA0 - LAMBDA1, Weight(-3, 3, 2)):
+        with pytest.raises(ValueError, match="not of the form"):
+            specialize({lam + off: 1}, lam)
 
