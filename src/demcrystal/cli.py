@@ -8,7 +8,7 @@ from contextlib import nullcontext
 
 from . import characters as ch
 from . import verify
-from .demazure import demazure_crystal_recursive, export_graph, generate_crystal, subgraph
+from .demazure import demazure_crystal_recursive, export_graph, generate_crystal
 from .weights import (
     Weight,
     demazure_character_oracle,
@@ -84,7 +84,12 @@ def cmd_crystal(args, out) -> int:
     if args.word is not None:  # "" is the identity word, as w+0 is
         word = _word(args.word)
         verts = demazure_crystal_recursive(lam, word)
-        G = subgraph(generate_crystal(lam, len(word)), verts)
+        # the f-closure inside the recursive set; a vertex it cannot reach
+        # would be a fault of one of the two routes
+        G = generate_crystal(lam, len(word), verts.__contains__)
+        if G.vertices != verts:
+            raise RuntimeError(f"the f-closure of the vacuum inside B_w misses "
+                               f"{len(verts) - len(G.vertices)} of its vertices")
     elif args.L is not None:
         if args.L < 0:
             raise SystemExit2("crystal requires L >= 0")

@@ -1,9 +1,22 @@
 """Generation of crystals B_L(Lambda) and Demazure crystals B_w(Lambda).
 
 Two independent routes are provided: the Kashiwara string recursion
-along a reduced word, and the direct width characterization.  Width-
-bounded BFS is sound because one box-adding pass grows each width by at
-most one.
+along a reduced word, and the direct width characterization.
+
+Both width-bounded searches are exact, not heuristics:
+
+- Width-bounded BFS reaches all of B_L(Lambda) because one box-adding
+  pass grows each width by at most one.
+- f-tilde only adds boxes, so no diagram's width ever shrinks along an
+  f-tilde chain.  A vertex T that passes the width characterization is
+  reached from the vacuum in B_L(Lambda), and every vertex on that chain
+  has each width at most T's, so it passes too.  The search capped by
+  the characterization (``generate_crystal``'s ``admit``) therefore
+  reaches exactly the vertices the filter over all of B_L(Lambda) keeps,
+  with the same edges among them, without building the rest of B_L.
+- The inclusion rule orders the depths of each column down the tuple, so
+  among the diagrams of one charge the first is the widest: the widths
+  of Y_1 and Y_{s+1} bound every width.
 """
 from __future__ import annotations
 
@@ -20,11 +33,18 @@ class CrystalGraph:
     edges: frozenset[tuple[EYDTuple, int, EYDTuple]]
 
 
-def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
-    """B_L(Lambda): closure of the vacuum under box-adding, widths <= L."""
+def generate_crystal(lam: Weight, L: int, admit=None) -> CrystalGraph:
+    """B_L(Lambda): closure of the vacuum under box-adding, widths <= L.
+
+    With ``admit``, a test on vertices, the closure stays inside the
+    vertices that pass it: the graph holds the vertices reached through
+    admitted vertices only, and the edges among them."""
     require_dominant(lam)
     if L < 0:
         raise ValueError("crystal generation requires L >= 0")
+    # Y_1 and Y_{s+1} are the widest diagrams (module docstring); s % k is
+    # 0 when all diagrams share one charge
+    s = lam.a0 % lam.level
     root = EYDTuple.vacuum(lam.a0, lam.a1)
     seen = {root}
     frontier = [root]
@@ -34,7 +54,11 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
         for T in frontier:
             for i in (0, 1):
                 U = f_tilde(i, T)
-                if U is None or max(U.widths()) > L:
+                if U is None:
+                    continue
+                D = U.diagrams
+                if (len(D[0].columns) > L or len(D[s].columns) > L
+                        or admit is not None and not admit(U)):
                     continue
                 # each (T, i) is tried once, so no edge repeats
                 edges.append((T, i, U))
@@ -42,8 +66,8 @@ def generate_crystal(lam: Weight, L: int) -> CrystalGraph:
                     seen.add(U)
                     nxt.append(U)
         frontier = nxt
-    # every edge target passed the width check and sits in seen, so all
-    # edges are internal to the width-bounded set
+    # every edge target passed the tests and sits in seen, so all edges
+    # are internal to the vertex set
     return CrystalGraph(frozenset(seen), frozenset(edges))
 
 
@@ -85,8 +109,9 @@ def _width_filter(lam: Weight, sign: str, L: int):
 
 
 def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> set[EYDTuple]:
-    """B_{w^+/-_L}(Lambda) by the width characterization on B_L(Lambda)."""
-    return set(filter(_width_filter(lam, sign, L), generate_crystal(lam, L).vertices))
+    """B_{w^+/-_L}(Lambda) by the width characterization: the closure of
+    the vacuum capped by it (module docstring)."""
+    return set(generate_crystal(lam, L, _width_filter(lam, sign, L)).vertices)
 
 
 def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:

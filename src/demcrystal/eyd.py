@@ -187,8 +187,8 @@ class EYDTuple:
         ds = self.diagrams[:index] + (Y,) + self.diagrams[index + 1:]
         _check_inclusion([D.columns[column] if column < len(D.columns) else D.charge for D in ds])
         out = object.__new__(EYDTuple)
-        object.__setattr__(out, "diagrams", ds)
-        object.__setattr__(out, "_hash", hash(ds))
+        # the frozen dataclass blocks __setattr__, not its instance dict
+        out.__dict__.update(diagrams=ds, _hash=hash(ds))
         return out
 
     @classmethod

@@ -10,9 +10,14 @@ For Lambda = s Lambda_0 + t Lambda_1 the forced last letter m_L equals
 the ground state's, s for even L and t for odd L; p_L has Lambda_0-
 coefficient s for even L and t for odd L; and p_0's Lambda_0-coefficient
 is that value minus sum_{j<L} (k - 2 m_j).
+
+``pi`` reads a pattern's letters as the elementwise sum of one parity row
+per diagram; ``_parity_row`` caches that row per diagram value and window
+L, and holds tuples of ints only.  No path, tuple or crystal is cached.
 """
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import product
 
 from .eyd import ExtendedYoungDiagram, EYDTuple
@@ -22,7 +27,7 @@ from .weights import Weight, require_dominant
 def ground_state_path(lam: Weight, L: int) -> tuple[int, ...]:
     """The letters (s, t, s, ...) of the ground-state path of length L."""
     require_dominant(lam)
-    return tuple(lam.a1 if j % 2 else lam.a0 for j in range(L))
+    return ((lam.a0, lam.a1) * ((L + 1) // 2))[:L]
 
 
 def from_letters(lam: Weight, L: int, letters) -> tuple[int, ...]:
@@ -49,14 +54,20 @@ def energy(p: tuple[int, ...], lam: Weight) -> int:
     k = lam.level
     L = len(p)
     ms = p + ground_state_path(lam, L + 1)[L:]
-    total = sum(j * h_local(k, ms[j - 1], ms[j]) for j in range(1, L + 1))
+    total = 0
+    for j in range(1, L + 1):
+        # h_local(k, m_{j-1}, m_j), inlined
+        h = k - ms[j - 1]
+        m = ms[j]
+        total += j * (h if h > m else m)
     return total - ground_state_H_sum(lam, L)
 
 
 def _start_coefficient(p: tuple[int, ...], lam: Weight) -> int:
     """The Lambda_0-coefficient of p_0, read off the letters."""
-    end = lam.a1 if len(p) % 2 else lam.a0
-    return end - sum(lam.level - 2 * m for m in p)
+    L = len(p)
+    end = lam.a1 if L % 2 else lam.a0
+    return end - L * lam.level + 2 * sum(p)
 
 
 def path_weight(p: tuple[int, ...], lam: Weight) -> Weight:
@@ -105,11 +116,23 @@ def enumerate_paths(lam: Weight, L: int):
 def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     """Project a pattern to its path: column j contributes the letter
     counting the diagrams with t_{ij} + j even, so each letter lies in
-    0..k by construction."""
-    if any(Y.width > L for Y in T.diagrams):
+    0..k by construction.  The letters are the elementwise sum of the
+    diagrams' ``_parity_row``s."""
+    rows = [_parity_row(Y.charge, Y.columns, L) for Y in T.diagrams]
+    return tuple(map(sum, zip(*rows)))
+
+
+@lru_cache(maxsize=None)
+def _parity_row(charge: int, columns: tuple[int, ...], L: int) -> tuple[int, ...]:
+    """Per column j < L of one diagram, 1 if y_j + j is even, else 0.
+
+    Keyed on the diagram's value and L, like the kernel caches in ``eyd``:
+    it holds tuples of ints only, and the paths of B_L(Lambda) share far
+    fewer distinct diagrams than they have vertices."""
+    if len(columns) > L:
         raise ValueError("window length L is smaller than a diagram width")
-    columns = zip(*(Y.row(L) for Y in T.diagrams))
-    return tuple(sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(columns))
+    row = columns + (charge,) * (L - len(columns))
+    return tuple([1 - (y + j) % 2 for j, y in enumerate(row)])
 
 
 def _max_column(caps, m: int, parity: int, k: int):

@@ -10,7 +10,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import characters as ch
-from .demazure import _width_filter, demazure_crystal_recursive, extremal_vector, generate_crystal
+from .demazure import (
+    _width_filter,
+    demazure_crystal_direct,
+    demazure_crystal_recursive,
+    extremal_vector,
+    generate_crystal,
+)
 from .eyd import EYDTuple, e_tilde, f_tilde
 from .paths import ground_state_H_sum, ground_state_H_sum_direct
 from .qlaurent import ZERO, verify_gaussian_lemma
@@ -113,8 +119,9 @@ def _vertex_ok(T: EYDTuple, s: int) -> bool:
 
 
 def demazure_crystal(max_k: int, max_L: int):
-    """The string recursion and the width characterization give the same
-    B_{w+/-_L}(Lambda), which holds the extremal vector, of weight
+    """The string recursion, the width characterization as a filter over
+    B_L and the closure capped by it (``demazure_crystal_direct``) give the
+    same B_{w+/-_L}(Lambda), which holds the extremal vector, of weight
     w+/-_L(Lambda); their union is B_L, their intersection B_{L-1}, and for
     a weight on one side only the Demazure crystal is all of B_L.  Each
     vertex of B_L not in B_{L-1} passes ``_vertex_ok`` (the vacuum at
@@ -128,6 +135,7 @@ def demazure_crystal(max_k: int, max_L: int):
                 dirs.append(set(filter(_width_filter(lam, sign, L), full)))
                 v = extremal_vector(lam, sign, L)
                 ok = (ok and demazure_crystal_recursive(lam, word) == dirs[-1]
+                      and demazure_crystal_direct(lam, sign, L) == dirs[-1]
                       and v in dirs[-1] and v.weight() == apply_word(word, lam))
             dir_p, dir_m = dirs
             ok = ok and dir_p | dir_m == full and dir_p & dir_m == prev

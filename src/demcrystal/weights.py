@@ -43,8 +43,9 @@ def require_dominant(lam: Weight) -> None:
     and characters exist only for a dominant weight with no delta part and
     of level >= 1, with int coefficients (not bools or floats, which
     compare equal to ints); any other weight raises ValueError."""
-    if (any(type(x) is not int for x in (lam.a0, lam.a1, lam.d))
-            or lam.a0 < 0 or lam.a1 < 0 or lam.d != 0 or lam.level < 1):
+    a0, a1, d = lam.a0, lam.a1, lam.d
+    if (type(a0) is not int or type(a1) is not int or type(d) is not int
+            or a0 < 0 or a1 < 0 or d != 0 or a0 + a1 < 1):
         raise ValueError("requires a dominant weight of level >= 1")
 
 

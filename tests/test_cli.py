@@ -15,9 +15,18 @@ from pathlib import Path
 
 import pytest
 
-from demcrystal import characters
+from demcrystal import characters, cli
 from demcrystal.cli import main
+from demcrystal.demazure import (
+    demazure_crystal_recursive,
+    export_graph,
+    generate_crystal,
+    subgraph,
+)
+from demcrystal.eyd import EYDTuple, f_tilde
 from demcrystal.qlaurent import ZERO
+from demcrystal.verify import weights_up_to
+from demcrystal.weights import Weight, weyl_word_minus, weyl_word_plus
 
 SUITES = (
     "boson-fermion",
@@ -108,6 +117,29 @@ def test_empty_word_is_the_identity_word(capsys):
         argv = [command, "--s", "1", "--t", "1", "--word"]
         code, out = run(argv + [""], capsys)
         assert code == 0 and run(argv + ["w+0"], capsys) == (code, out)
+
+
+@pytest.mark.parametrize("lam", list(weights_up_to(3)), ids=lambda lam: f"s{lam.a0}t{lam.a1}")
+def test_word_graph_is_the_recursive_subgraph(lam, capsys):
+    # --word builds the f-closure inside the recursive set, not all of B_L;
+    # its graph is B_L's restricted to that set
+    w = ["--s", str(lam.a0), "--t", str(lam.a1)]
+    for L in range(1, 6):
+        for sign, word in (("+", weyl_word_plus(L)), ("-", weyl_word_minus(L))):
+            G = subgraph(generate_crystal(lam, L), demazure_crystal_recursive(lam, word))
+            code, out = run(["crystal", *w, "--word", f"w{sign}{L}", "--format", "json"], capsys)
+            assert (code, out) == (0, export_graph(G, "json")), (sign, L)
+
+
+def test_word_graph_missing_a_vertex_is_a_fault(monkeypatch, capsys):
+    # without f_0 of the vacuum, the closure inside B_{r1 r0}(Lambda_0)
+    # cannot reach the two vertices of the 1-string below it
+    orig = cli.demazure_crystal_recursive
+    cut = f_tilde(0, EYDTuple.vacuum(1, 0))
+    monkeypatch.setattr(cli, "demazure_crystal_recursive", lambda lam, word: orig(lam, word) - {cut})
+    with pytest.raises(RuntimeError, match="misses 2 of its vertices"):
+        main(["crystal", "--s", "1", "--t", "0", "--word", "r1r0"])
+    assert capsys.readouterr().err == ""
 
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.txt"

@@ -62,6 +62,30 @@ def test_epsilon_L():
     assert epsilon_L(2) == 0
 
 
+def reference_pi(T, L):
+    """pi as a count over the padded columns, with no per-diagram cache."""
+    if any(Y.width > L for Y in T.diagrams):
+        raise ValueError("window length L is smaller than a diagram width")
+    columns = zip(*(Y.row(L) for Y in T.diagrams))
+    return tuple(sum(1 for y in col if (y + j) % 2 == 0) for j, col in enumerate(columns))
+
+
+@pytest.mark.parametrize("lam", list(weights_up_to(3)), ids=lambda lam: f"s{lam.a0}t{lam.a1}")
+def test_pi_matches_reference(lam):
+    # every vertex of B_L at every window from its own length up to 5,
+    # so the per-diagram cache serves one diagram at several L
+    for L in range(6):
+        for T in generate_crystal(lam, L).vertices:
+            for window in range(L, 6):
+                assert pi(T, window) == reference_pi(T, window), (T.key(), window)
+    T = max(generate_crystal(lam, 3).vertices, key=lambda T: max(Y.width for Y in T.diagrams))
+    assert max(Y.width for Y in T.diagrams) == 3
+    for window in (0, 1, 2):
+        for projection in (pi, reference_pi):
+            with pytest.raises(ValueError, match="smaller than a diagram width"):
+                projection(T, window)
+
+
 def crystal_paths(lam, L):
     G = generate_crystal(lam, L)
     return {T: pi(T, L) for T in G.vertices}

@@ -155,11 +155,12 @@ def test_route_rule_catches_the_pattern():
 # result in place of a fresh computation; f_recursive is memoized by
 # definition (its recursion reads its own earlier values) and is exempt.
 # The crystal operators and generators are cross-checked routes too: the
-# EYD kernel may cache per-diagram geometry, never a tuple or a crystal.
+# EYD kernel and pi may cache per-diagram geometry, never a tuple or a crystal.
 # The Demazure-operator oracle checks both, and recomputes every call too.
 UNMEMOIZED_ROUTES = (
     "f_bosonic", "f_fermionic", "F_fermionic",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
+    "pi",
     "demazure_operator", "demazure_character_oracle", "_demazure",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
