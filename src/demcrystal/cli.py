@@ -2,9 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
-from contextlib import nullcontext
 
 from . import characters as ch
 from . import verify
@@ -165,8 +165,14 @@ def main(argv=None) -> int:
     }
     # a sink that cannot be opened or written is a usage error, not a fault
     try:
-        with open(args.out, "w") if args.out else nullcontext(sys.stdout) as sink:
-            return handlers[args.command](args, sink)
+        if args.out:  # opened before any work, written only if the request succeeds
+            open(args.out, "a").close()
+        sink = io.StringIO() if args.out else sys.stdout
+        code = handlers[args.command](args, sink)
+        if args.out:
+            with open(args.out, "w") as f:
+                f.write(sink.getvalue())
+        return code
     except (SystemExit2, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

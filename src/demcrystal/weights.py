@@ -1,37 +1,43 @@
 """Weight lattice of affine sl(2), Weyl words and the Demazure operator.
 
-Weights are integer triples on the basis (Lambda_0, Lambda_1, delta).
-The Demazure operator acts on the formal character ring Z[P] in its
-quotient form D_i chi = (chi - e^{-alpha_i} r_i chi) / (1 - e^{-alpha_i}),
-on plain (a0, a1, d) int triples: each term c e^mu puts +c at mu and -c
-at mu - (mu(h_i) + 1) alpha_i, and the division is one running sum down
-each alpha_i-string, so a letter costs O(|chi| log |chi| + |D_i chi|) int
-operations.  The oracle builds its Weight keys once, at the end.
+A weight is an integer triple on the basis (Lambda_0, Lambda_1, delta);
+`Weight` is a named tuple, equal to its plain (a0, a1, d) triple.  The
+Demazure operator acts on the formal character ring Z[P] in its quotient
+form D_i chi = (chi - e^{-alpha_i} r_i chi) / (1 - e^{-alpha_i}): each
+term c e^mu puts +c at mu and -c at mu - (mu(h_i) + 1) alpha_i, and the
+division is one running sum down each alpha_i-string, so a letter costs
+O(|chi| log |chi| + |D_i chi|) int operations.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .qlaurent import BivariatePolynomial
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
+class Weight(NamedTuple):
+    """a0 Lambda_0 + a1 Lambda_1 + d delta, a vector under +, - and n * mu."""
     a0: int
     a1: int
     d: int = 0
 
-    def __add__(self, other: "Weight") -> "Weight":
-        return Weight(self.a0 + other.a0, self.a1 + other.a1, self.d + other.d)
+    def __add__(self, other) -> "Weight":
+        b0, b1, e = other
+        return Weight(self.a0 + b0, self.a1 + b1, self.d + e)
 
-    def __sub__(self, other: "Weight") -> "Weight":
-        return Weight(self.a0 - other.a0, self.a1 - other.a1, self.d - other.d)
+    __radd__ = __add__  # runs before tuple's: (1, 0, 0) + mu adds, not concatenates
+
+    def __sub__(self, other) -> "Weight":
+        b0, b1, e = other
+        return Weight(self.a0 - b0, self.a1 - b1, self.d - e)
 
     def __neg__(self) -> "Weight":
         return Weight(-self.a0, -self.a1, -self.d)
 
     def __rmul__(self, n: int) -> "Weight":
         return Weight(n * self.a0, n * self.a1, n * self.d)
+
+    __mul__ = None  # mu * n raises TypeError instead of repeating the tuple
 
     @property
     def level(self) -> int:
@@ -60,11 +66,9 @@ ALPHA = (ALPHA0, ALPHA1)
 
 def pairing(mu: Weight, i: int) -> int:
     """mu(h_i); delta pairs to zero with both coroots."""
-    if i == 0:
-        return mu.a0
-    if i == 1:
-        return mu.a1
-    raise ValueError(f"invalid simple-coroot index {i}")
+    if i not in (0, 1):  # mu[-1] would read the delta coefficient
+        raise ValueError(f"invalid simple-coroot index {i}")
+    return mu[i]
 
 
 def reflect(i: int, mu: Weight) -> Weight:
@@ -127,7 +131,7 @@ def apply_word(word, mu: Weight) -> Weight:
 
 # -- formal characters --------------------------------------------------------
 # A formal character, a finite integer combination of exponentials e^mu, is a
-# {Weight: int} dict with no zero coefficients.
+# dict with no zero coefficients keyed by (a0, a1, d) triples, Weights or not.
 
 def _quotient_runs(num: dict[int, int]):
     """num / (1 - x) on one alpha_i-string, for num given as {position:
@@ -146,13 +150,16 @@ def _quotient_runs(num: dict[int, int]):
         raise ValueError("inexact Demazure division: non-zero remainder")
 
 
-def _demazure(i: int, chi: dict[tuple[int, int, int], int]) -> dict[tuple[int, int, int], int]:
-    """D_i on a character keyed by (a0, a1, d) triples, in quotient form.
+def demazure_operator(i: int, chi: dict[tuple[int, int, int], int]) -> dict[tuple[int, int, int], int]:
+    """D_i on Z[P]: for n = mu(h_i), e^mu goes to the sum of e^{mu - j alpha_i}
+    over 0 <= j <= n when n >= 0, to zero when n = -1, and to minus the sum
+    of e^{mu + j alpha_i} over 1 <= j <= -n - 1 when n <= -2.
 
-    The alpha_1-string of mu keeps (level, d, a0 mod 2) and has position
-    a0, rising by 2 per -alpha_1; the alpha_0-string keeps (level,
-    a0 - 2d) and has position -d, rising by 1 per -alpha_0.  With n =
-    mu(h_i), mu - (n + 1) alpha_i sits (n + 1) steps past mu.
+    The quotient form, on triple keys (Weights or not); the result has plain
+    triple keys.  The alpha_1-string of mu keeps (level, d, a0 mod 2) and
+    has position a0, rising by 2 per -alpha_1; the alpha_0-string keeps
+    (level, a0 - 2d) and has position -d, rising by 1 per -alpha_0.  With
+    n = mu(h_i), mu - (n + 1) alpha_i sits (n + 1) steps past mu.
     """
     if i not in (0, 1):
         raise ValueError(f"invalid simple-coroot index {i}")
@@ -179,39 +186,31 @@ def _demazure(i: int, chi: dict[tuple[int, int, int], int]) -> dict[tuple[int, i
     return out
 
 
-def demazure_operator(i: int, chi: dict[Weight, int]) -> dict[Weight, int]:
-    """D_i on Z[P]: for n = mu(h_i), e^mu goes to the sum of e^{mu - j alpha_i}
-    over 0 <= j <= n when n >= 0, to zero when n = -1, and to minus the sum
-    of e^{mu + j alpha_i} over 1 <= j <= -n - 1 when n <= -2."""
-    out = _demazure(i, {(mu.a0, mu.a1, mu.d): c for mu, c in chi.items()})
-    return {Weight(*mu): c for mu, c in out.items()}
-
-
-def demazure_character_oracle(lam: Weight, word) -> dict[Weight, int]:
+def demazure_character_oracle(lam: Weight, word) -> dict[tuple[int, int, int], int]:
     """ch E_w(Lambda) as D_{i_n} ... D_{i_1} e^Lambda."""
     require_dominant(lam)
     if not is_reduced(word):
         raise ValueError(f"word {word} is not reduced")
-    chi = {(lam.a0, lam.a1, lam.d): 1}
+    chi = {lam: 1}
     for i in reversed(word):
-        chi = _demazure(i, chi)
-    return {Weight(*mu): c for mu, c in chi.items()}
+        chi = demazure_operator(i, chi)
+    return chi
 
 
-def specialize(chi: dict[Weight, int], lam: Weight) -> BivariatePolynomial:
+def specialize(chi: dict[tuple[int, int, int], int], lam: Weight) -> BivariatePolynomial:
     """Send e^{Lambda + j alpha_1 - n delta} to z^{-j} q^n.
 
     This is the substitution e^{-alpha_1} -> z, e^{-delta} -> q applied
     after dividing by e^Lambda.  Rejects terms outside the affine line
     Lambda + Z alpha_1 + Z delta.
     """
-    l0, l1, ld = lam.a0, lam.a1, lam.d
+    l0, l1, ld = lam
     out: dict[tuple[int, int], int] = {}
-    for mu, c in chi.items():
-        x0, x1 = mu.a0 - l0, mu.a1 - l1
+    for (a0, a1, d), c in chi.items():
+        x0, x1 = a0 - l0, a1 - l1
         if x0 != -x1 or x1 % 2 != 0:
-            raise ValueError(f"term e^{mu} is not of the form Lambda + j*alpha1 - n*delta")
+            raise ValueError(f"term e^{(a0, a1, d)} is not of the form Lambda + j*alpha1 - n*delta")
         # key (-j, 4n): q-exponents in quarter units; distinct weights give
         # distinct keys, so nothing needs summing
-        out[(-(x1 // 2), 4 * (ld - mu.d))] = c
+        out[(-(x1 // 2), 4 * (ld - d))] = c
     return BivariatePolynomial(out)

@@ -210,6 +210,17 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().strip() == "1 + z^-1*q"
+    # a refused request leaves an existing file byte-identical
+    for argv in (["character", "--s", "0", "--t", "0", "-L", "1"],
+                 ["crystal", "--s", "1", "--word", "r0r0"],
+                 ["verify", "--suite", "lemmas", "--max-k", "0"]):
+        target.write_bytes(b"precious\n")
+        assert_usage_error(argv + ["--out", str(target)], capsys)
+        assert target.read_bytes() == b"precious\n"
+    # a shorter output replaces a longer file whole
+    target.write_text("x" * 100)
+    assert run(["character", "--s", "1", "-L", "1", "--out", str(target)], capsys)[0] == 0
+    assert target.read_text() == "1 + z^-1*q\n"
 
 
 def test_usage_errors(capsys):

@@ -161,7 +161,7 @@ UNMEMOIZED_ROUTES = (
     "f_bosonic", "f_fermionic", "F_fermionic",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
     "pi",
-    "demazure_operator", "demazure_character_oracle", "_demazure",
+    "demazure_operator", "demazure_character_oracle",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
 

@@ -32,6 +32,19 @@ def test_basis_pairings():
     assert pairing(DELTA, 0) == 0
     assert pairing(DELTA, 1) == 0
     assert ALPHA0 + ALPHA1 == DELTA
+    # a weight is its (a0, a1, d) triple, with no tuple operation left on it
+    w = Weight(1, 2, 3)
+    assert w == (1, 2, 3) and hash(w) == hash((1, 2, 3))
+    assert 2 * w == Weight(2, 4, 6) and -w == Weight(-1, -2, -3)
+    for bad in (lambda: w * 2, lambda: w * w):
+        with pytest.raises(TypeError):
+            bad()
+    assert (1, 0, 0) + ALPHA0 == Weight(3, -2, 1)
+    for i in (-1, 2):
+        with pytest.raises(ValueError, match="simple-coroot index"):
+            pairing(w, i)
+    with pytest.raises(AttributeError):
+        w.a0 = 5
 
 
 def test_reflections_involutive():
@@ -145,8 +158,11 @@ def test_demazure_operator_matches_reference_on_sums():
                 nu = mu + rng.randint(-4, 4) * ALPHA[i]
                 chi[nu] = chi.get(nu, 0) + rng.choice((-1, 1))
         chi = {mu: c for mu, c in chi.items() if c}
+        triples = {tuple(mu): c for mu, c in chi.items()}
         for i in (0, 1):
             assert demazure_operator(i, chi) == reference_demazure_operator(i, chi)
+            # the same character keyed by plain triples
+            assert demazure_operator(i, triples) == demazure_operator(i, chi)
     for i in (0, 1):
         for mu in (Weight(3, -1, 0), Weight(-4, 2, 1), Weight(0, 0, 0), Weight(1, 5, -2)):
             # D_i e^{r_i(mu) - alpha_i} = -D_i e^mu: the whole string cancels
