@@ -1,10 +1,11 @@
 """Command-line interface: crystals, characters, verification suites, oracle."""
 from __future__ import annotations
 
-import argparse
 import io
 import json
+import os
 import sys
+from types import SimpleNamespace
 
 from . import characters as ch
 from . import verify
@@ -80,6 +81,8 @@ def cmd_oracle(args, out) -> int:
 
 
 def cmd_crystal(args, out) -> int:
+    if args.word is not None and args.L is not None:
+        raise SystemExit2("crystal takes --word or -L, not both")
     lam = _weight(args)
     if args.word is not None:  # "" is the identity word, as w+0 is
         word = _word(args.word)
@@ -101,6 +104,8 @@ def cmd_crystal(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    if args.suite is None:
+        raise SystemExit2("verify requires --suite")
     # every suite's grid is non-empty once both bounds are at least 1
     if args.max_k < 1 or args.max_L < 1:
         raise SystemExit2("verify requires --max-k >= 1 and --max-L >= 1")
@@ -114,49 +119,105 @@ def cmd_verify(args, out) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="demcrystal",
-        description="Demazure crystals and characters for affine sl(2).",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
+# --flag value pairs after the subcommand: flag -> (dest, kind, default), a
+# kind being int, str or the tuple of allowed values
+_WEIGHT = {"--s": ("s", int, 0), "--t": ("t", int, 0)}
+_OUT = {"--out": ("out", str, None)}
+FORMATS = ("table", "json")
+HELP = ("-h", "--help")
 
-    def common(sp, formats=("table", "json")):
-        sp.add_argument("--s", type=int, default=0)
-        sp.add_argument("--t", type=int, default=0)
-        sp.add_argument("--format", choices=formats, default="table")
-        sp.add_argument("--out", type=str, default=None)
 
-    sp = sub.add_parser("crystal", help="enumerate a crystal or Demazure crystal")
-    common(sp, ("table", "json", "dot"))
-    size = sp.add_mutually_exclusive_group()
-    size.add_argument("-L", type=int, default=None)
-    size.add_argument("--word", type=str, default=None)
+def build_parser() -> dict:
+    """The flag table: subcommand -> (summary, flags)."""
+    return {
+        "crystal": ("enumerate a crystal or Demazure crystal", {
+            **_WEIGHT, "--format": ("format", FORMATS + ("dot",), "table"), **_OUT,
+            "-L": ("L", int, None), "--word": ("word", str, None)}),
+        "character": ("compute a character by a chosen route", {
+            **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
+            "-L": ("L", int, None), "--route": ("route", tuple(ROUTES), "recursive")}),
+        "oracle": ("Demazure-operator character for a word", {
+            **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
+            "--word": ("word", str, None)}),
+        "verify": ("run a verification suite", {
+            "--suite": ("suite", tuple(sorted(verify.SUITES)), None),
+            "--max-k": ("max_k", int, 2), "--max-L": ("max_L", int, 4), **_OUT}),
+    }
 
-    sp = sub.add_parser("character", help="compute a character by a chosen route")
-    common(sp)
-    sp.add_argument("-L", type=int, default=None)
-    sp.add_argument("--route", choices=tuple(ROUTES), default="recursive")
 
-    sp = sub.add_parser("oracle", help="Demazure-operator character for a word")
-    common(sp)
-    sp.add_argument("--word", type=str, default=None)
+def _usage(table, command=None) -> str:
+    if command is None:
+        lines = [f"usage: demcrystal {{{','.join(table)}}} [--flag value ...]",
+                 "Demazure crystals and characters for affine sl(2)."]
+        lines += [f"  {name:<10} {summary}" for name, (summary, _) in table.items()]
+    else:
+        summary, flags = table[command]
+        lines = [f"usage: demcrystal {command} [--flag value ...]", summary]
+        for flag, (_, kind, default) in flags.items():
+            shown = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
+            lines.append(f"  {flag} {shown}" + ("" if default is None else f"  (default {default})"))
+    return "\n".join(lines) + "\n"
 
-    sp = sub.add_parser("verify", help="run a verification suite")
-    sp.add_argument("--suite", required=True, choices=sorted(verify.SUITES))
-    sp.add_argument("--max-k", type=int, default=2)
-    sp.add_argument("--max-L", type=int, default=4)
-    sp.add_argument("--out", type=str, default=None)
 
-    return p
+def parse_args(table, argv):
+    """The request ``argv`` names, with every flag it leaves out at its
+    default; the usage text if it asks for help.  Each flag is given at most
+    once, in full, as ``--flag value`` or ``--flag=value``."""
+    if not argv or argv[0] in HELP:
+        if argv:
+            return _usage(table)
+        raise SystemExit2(f"missing subcommand, choose from {', '.join(table)}")
+    command, words = argv[0], iter(argv[1:])
+    if command not in table:
+        raise SystemExit2(f"unknown subcommand {command!r}, choose from {', '.join(table)}")
+    flags = table[command][1]
+    values = {"command": command}
+    for word in words:
+        if word in HELP:
+            return _usage(table, command)
+        flag, eq, value = word.partition("=")
+        if flag not in flags:
+            raise SystemExit2(f"{command}: unknown argument {word!r}")
+        dest, kind, _ = flags[flag]
+        if dest in values:
+            raise SystemExit2(f"{flag} given twice")
+        if not eq:  # the value is the next word, which may be "-1" but no flag
+            value = next(words, None)
+            if value is None or value.partition("=")[0] in flags:
+                raise SystemExit2(f"{flag} needs a value")
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise SystemExit2(f"{flag}: invalid int value {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise SystemExit2(f"{flag}: invalid choice {value!r}, choose from {', '.join(kind)}")
+        values[dest] = value
+    for dest, _, default in flags.values():
+        values.setdefault(dest, default)
+    return SimpleNamespace(**values)
+
+
+def _to_file(handler, args) -> int:
+    """Run ``handler`` into a buffer and write it to ``args.out`` only if it
+    succeeds.  The path is opened before any work, so one that cannot be
+    opened is refused at once; a file that opening created is removed again
+    if the request is then refused or faults."""
+    created = not os.path.lexists(args.out)
+    open(args.out, "a").close()
+    try:
+        sink = io.StringIO()
+        code = handler(args, sink)
+        with open(args.out, "w") as f:
+            f.write(sink.getvalue())
+        return code
+    except BaseException:
+        if created:
+            os.remove(args.out)
+        raise
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        return EXIT_USAGE if e.code not in (0, None) else 0
     handlers = {
         "character": cmd_character,
         "crystal": cmd_crystal,
@@ -165,14 +226,13 @@ def main(argv=None) -> int:
     }
     # a sink that cannot be opened or written is a usage error, not a fault
     try:
-        if args.out:  # opened before any work, written only if the request succeeds
-            open(args.out, "a").close()
-        sink = io.StringIO() if args.out else sys.stdout
-        code = handlers[args.command](args, sink)
+        args = parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
+        if isinstance(args, str):
+            sys.stdout.write(args)
+            return EXIT_OK
         if args.out:
-            with open(args.out, "w") as f:
-                f.write(sink.getvalue())
-        return code
+            return _to_file(handlers[args.command], args)
+        return handlers[args.command](args, sys.stdout)
     except (SystemExit2, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

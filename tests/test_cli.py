@@ -10,6 +10,8 @@ import io
 import json
 import os
 import shlex
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -210,13 +212,17 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().strip() == "1 + z^-1*q"
-    # a refused request leaves an existing file byte-identical
+    # a refused request leaves an existing file byte-identical, and creates
+    # no file where there was none
+    missing = tmp_path / "new.txt"
     for argv in (["character", "--s", "0", "--t", "0", "-L", "1"],
                  ["crystal", "--s", "1", "--word", "r0r0"],
                  ["verify", "--suite", "lemmas", "--max-k", "0"]):
         target.write_bytes(b"precious\n")
         assert_usage_error(argv + ["--out", str(target)], capsys)
         assert target.read_bytes() == b"precious\n"
+        assert_usage_error(argv + ["--out", str(missing)], capsys)
+        assert not missing.exists()
     # a shorter output replaces a longer file whole
     target.write_text("x" * 100)
     assert run(["character", "--s", "1", "-L", "1", "--out", str(target)], capsys)[0] == 0
@@ -224,21 +230,80 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_usage_errors(capsys):
-    assert main(["character", "--s", "0", "--t", "0", "-L", "1"]) == 2
-    assert main(["character", "--s", "1", "--t", "0"]) == 2
-    assert main(["oracle", "--s", "1", "--t", "0"]) == 2
-    assert main(["crystal", "--s", "1", "--t", "0", "--word", "garbage"]) == 2
-    assert main(["bogus"]) == 2
-    # flags that used to be accepted and ignored
-    assert main(["character", "--s", "1", "--t", "0", "-L", "1", "--format", "dot"]) == 2
-    assert main(["oracle", "--s", "1", "--t", "0", "--word", "r0", "--format", "dot"]) == 2
-    assert main(["character", "--s", "1", "--t", "0", "-L", "2", "--word", "r0r1"]) == 2
-    assert main(["crystal", "--s", "1", "--t", "0", "-L", "5", "--word", "r0"]) == 2
-    # no suite takes a seed: every grid is walked in full
-    assert main(["verify", "--suite", "sanderson", "--seed", "5"]) == 2
-    assert main(["verify", "--suite", "boson-fermion", "--seed", "0"]) == 2
-    assert main(["verify", "--suite", "lemmas", "--seed", "5"]) == 2
-    capsys.readouterr()
+    for argv in (
+        ["character", "--s", "0", "--t", "0", "-L", "1"],
+        ["character", "--s", "1", "--t", "0"],
+        ["oracle", "--s", "1", "--t", "0"],
+        ["crystal", "--s", "1", "--t", "0", "--word", "garbage"],
+        [],
+        ["bogus"],
+        ["character", "--s", "1", "-L"],
+        ["character", "--s", "x", "-L", "1"],
+        ["character", "--s", "1", "-L", "1", "--route", "nope"],
+        ["character", "--s", "1", "-L", "1", "--rou", "path"],
+        ["character", "--s", "1", "--s", "2", "-L", "1"],
+        ["character", "--s", "1", "-L", "1", "--route"],
+        ["character", "--s", "1", "-L", "--route", "path"],
+        ["character", "--s", "1", "-L", "1", "stray"],
+        ["verify"],
+        ["verify", "--max-k", "3"],
+        # flags that used to be accepted and ignored
+        ["character", "--s", "1", "--t", "0", "-L", "1", "--format", "dot"],
+        ["oracle", "--s", "1", "--t", "0", "--word", "r0", "--format", "dot"],
+        ["character", "--s", "1", "--t", "0", "-L", "2", "--word", "r0r1"],
+        ["crystal", "--s", "1", "--t", "0", "-L", "5", "--word", "r0"],
+        # no suite takes a seed: every grid is walked in full
+        ["verify", "--suite", "sanderson", "--seed", "5"],
+        ["verify", "--suite", "boson-fermion", "--seed", "0"],
+        ["verify", "--suite", "lemmas", "--seed", "5"],
+    ):
+        assert_usage_error(argv, capsys)
+
+
+def test_flag_syntax(capsys):
+    """``--flag=value`` is ``--flag value``, ``--word=`` the empty word."""
+    argv = ["character", "--s", "1", "--t", "1", "-L", "2"]
+    assert run(argv + ["--route=path"], capsys) == run(argv + ["--route", "path"], capsys)
+    assert run(["crystal", "--s=1", "--word="], capsys) == run(["crystal", "--s", "1", "--word", ""],
+                                                               capsys)
+
+
+def test_help(capsys):
+    for argv, names in ((["-h"], ("crystal", "character", "oracle", "verify")),
+                        (["character", "--help"],
+                         ("--s", "--t", "--format", "--out", "-L", "--route"))):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "") and all(name in out for name in names)
+
+
+def test_no_argparse_gettext_or_locale():
+    """A request loads none of the modules whose first use cost more than
+    the request's own work."""
+    code = ("import sys; before = set(sys.modules); from demcrystal import cli; "
+            "assert cli.main(['character', '--s', '1', '-L', '2']) == 0; "
+            "print(sorted({'argparse', 'gettext', 'locale'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_entry_point():
+    """``main()`` reads ``sys.argv``, as the ``demcrystal`` script calls it."""
+    def cli_(*argv):
+        return subprocess.run([sys.executable, "-m", "demcrystal.cli", *argv],
+                              capture_output=True, text=True, env=_env())
+
+    done = cli_("character", "--s", "1", "-L", "1")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "1 + z^-1*q\n", "")
+    done = cli_("character", "--s", "x")
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def _env():
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
 def assert_usage_error(argv, capsys):
