@@ -9,7 +9,7 @@ from types import SimpleNamespace
 
 from . import characters as ch
 from . import verify
-from .demazure import demazure_crystal_recursive, export_graph, generate_crystal
+from .demazure import export_graph, generate_crystal
 from .weights import (
     Weight,
     demazure_character_oracle,
@@ -85,14 +85,9 @@ def cmd_crystal(args, out) -> int:
         raise SystemExit2("crystal takes --word or -L, not both")
     lam = _weight(args)
     if args.word is not None:  # "" is the identity word, as w+0 is
+        # a reduced word alternates: it is w^+/-_L by its length and last letter
         word = _word(args.word)
-        verts = demazure_crystal_recursive(lam, word)
-        # the f-closure inside the recursive set; a vertex it cannot reach
-        # would be a fault of one of the two routes
-        G = generate_crystal(lam, len(word), verts.__contains__)
-        if G.vertices != verts:
-            raise RuntimeError(f"the f-closure of the vacuum inside B_w misses "
-                               f"{len(verts) - len(G.vertices)} of its vertices")
+        G = generate_crystal(lam, len(word), "+-"[word[-1]] if word else None)
     elif args.L is not None:
         if args.L < 0:
             raise SystemExit2("crystal requires L >= 0")
@@ -185,11 +180,11 @@ def parse_args(table, argv):
             value = next(words, None)
             if value is None or value.partition("=")[0] in flags:
                 raise SystemExit2(f"{flag} needs a value")
-        if kind is int:
-            try:
-                value = int(value)
-            except ValueError:
-                raise SystemExit2(f"{flag}: invalid int value {value!r}") from None
+        if kind is int:  # ASCII digits after an optional "-", as in w+L
+            digits = value[1:] if value.startswith("-") else value
+            if not (digits.isascii() and digits.isdigit()):
+                raise SystemExit2(f"{flag}: invalid int value {value!r}")
+            value = int(value)
         elif kind is not str and value not in kind:
             raise SystemExit2(f"{flag}: invalid choice {value!r}, choose from {', '.join(kind)}")
         values[dest] = value
@@ -230,7 +225,7 @@ def main(argv=None) -> int:
         if isinstance(args, str):
             sys.stdout.write(args)
             return EXIT_OK
-        if args.out:
+        if args.out is not None:
             return _to_file(handlers[args.command], args)
         return handlers[args.command](args, sys.stdout)
     except (SystemExit2, OSError) as e:

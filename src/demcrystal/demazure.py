@@ -11,7 +11,7 @@ Both width-bounded searches are exact, not heuristics:
   f-tilde chain.  A vertex T that passes the width characterization is
   reached from the vacuum in B_L(Lambda), and every vertex on that chain
   has each width at most T's, so it passes too.  The search capped by
-  the characterization (``generate_crystal``'s ``admit``) therefore
+  the characterization (``generate_crystal``'s ``sign``) therefore
   reaches exactly the vertices the filter over all of B_L(Lambda) keeps,
   with the same edges among them, without building the rest of B_L.
 - The inclusion rule orders the depths of each column down the tuple, so
@@ -33,18 +33,23 @@ class CrystalGraph:
     edges: frozenset[tuple[EYDTuple, int, EYDTuple]]
 
 
-def generate_crystal(lam: Weight, L: int, admit=None) -> CrystalGraph:
+def generate_crystal(lam: Weight, L: int, sign=None) -> CrystalGraph:
     """B_L(Lambda): closure of the vacuum under box-adding, widths <= L.
 
-    With ``admit``, a test on vertices, the closure stays inside the
-    vertices that pass it: the graph holds the vertices reached through
-    admitted vertices only, and the edges among them."""
+    With ``sign``, "+" or "-", the closure is B_{w^+/-_L}(Lambda): the
+    widths of Y_1 and Y_{s+1} are capped at the extremal vector's
+    (module docstring), and the graph holds the edges among its vertices."""
     require_dominant(lam)
+    cap0, cap1 = (L, L) if sign is None else _widths(sign, L)
     if L < 0:
         raise ValueError("crystal generation requires L >= 0")
     # Y_1 and Y_{s+1} are the widest diagrams (module docstring); s % k is
-    # 0 when all diagrams share one charge
+    # 0 when all diagrams share one charge, whose cap then holds for both
     s = lam.a0 % lam.level
+    if not lam.a0:
+        cap0 = cap1
+    elif not lam.a1:
+        cap1 = cap0
     root = EYDTuple.vacuum(lam.a0, lam.a1)
     seen = {root}
     frontier = [root]
@@ -57,8 +62,7 @@ def generate_crystal(lam: Weight, L: int, admit=None) -> CrystalGraph:
                 if U is None:
                     continue
                 D = U.diagrams
-                if (len(D[0].columns) > L or len(D[s].columns) > L
-                        or admit is not None and not admit(U)):
+                if len(D[0].columns) > cap0 or len(D[s].columns) > cap1:
                     continue
                 # each (T, i) is tried once, so no edge repeats
                 edges.append((T, i, U))
@@ -66,7 +70,7 @@ def generate_crystal(lam: Weight, L: int, admit=None) -> CrystalGraph:
                     seen.add(U)
                     nxt.append(U)
         frontier = nxt
-    # every edge target passed the tests and sits in seen, so all edges
+    # every edge target passed the caps and sits in seen, so all edges
     # are internal to the vertex set
     return CrystalGraph(frozenset(seen), frozenset(edges))
 
@@ -94,30 +98,19 @@ def _widths(sign: str, L: int) -> tuple[int, int]:
     """Widths of Y_1 and Y_{s+1} in the extremal vector of w^+/-_L."""
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
+    if L <= 0:
+        raise ValueError("the width characterization requires L > 0")
     return (L, L - 1) if sign == "+" else (L - 1, L)
 
 
-def _width_filter(lam: Weight, sign: str, L: int):
-    """The width characterization of B_{w^+/-_L}(Lambda), as a test on the
-    vertices of B_L(Lambda): Y_1 and Y_{s+1} stay within the extremal
-    vector's widths."""
-    if L <= 0:
-        raise ValueError("the width characterization requires L > 0")
-    s, t = lam.a0, lam.a1
-    cap0, cap1 = _widths(sign, L)
-    return lambda T: not (s and T.diagrams[0].width > cap0 or t and T.diagrams[s].width > cap1)
-
-
-def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> set[EYDTuple]:
+def demazure_crystal_direct(lam: Weight, sign: str, L: int) -> frozenset[EYDTuple]:
     """B_{w^+/-_L}(Lambda) by the width characterization: the closure of
     the vacuum capped by it (module docstring)."""
-    return set(generate_crystal(lam, L, _width_filter(lam, sign, L)).vertices)
+    return generate_crystal(lam, L, sign).vertices
 
 
 def extremal_vector(lam: Weight, sign: str, L: int) -> EYDTuple:
     """The weight-w^+/-_L(Lambda) element: maximal-staircase diagrams."""
-    if L <= 0:
-        raise ValueError("extremal vectors are defined for L > 0")
     require_dominant(lam)
     w0, w1 = _widths(sign, L)
 

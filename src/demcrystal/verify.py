@@ -11,7 +11,7 @@ from typing import NamedTuple
 
 from . import characters as ch
 from .demazure import (
-    _width_filter,
+    _widths,
     demazure_crystal_direct,
     demazure_crystal_recursive,
     extremal_vector,
@@ -116,6 +116,16 @@ def _vertex_ok(T: EYDTuple, s: int) -> bool:
         if V is not None and f_tilde(i, V) != T:
             return False
     return True
+
+
+def _width_filter(lam: Weight, sign: str, L: int):
+    """The width characterization of B_{w^+/-_L}(Lambda) as a test on the
+    vertices of B_L(Lambda), coded apart from ``generate_crystal``'s caps:
+    Y_1 (if s > 0) and Y_{s+1} (if t > 0) stay within the extremal
+    vector's widths."""
+    s, t = lam.a0, lam.a1
+    cap0, cap1 = _widths(sign, L)
+    return lambda T: not (s and T.diagrams[0].width > cap0 or t and T.diagrams[s].width > cap1)
 
 
 def demazure_crystal(max_k: int, max_L: int):

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from demcrystal import characters, cli
+from demcrystal import characters, cli, demazure
 from demcrystal.cli import main
 from demcrystal.demazure import (
     demazure_crystal_recursive,
@@ -25,7 +25,6 @@ from demcrystal.demazure import (
     generate_crystal,
     subgraph,
 )
-from demcrystal.eyd import EYDTuple, f_tilde
 from demcrystal.qlaurent import ZERO
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import Weight, weyl_word_minus, weyl_word_plus
@@ -123,8 +122,8 @@ def test_empty_word_is_the_identity_word(capsys):
 
 @pytest.mark.parametrize("lam", list(weights_up_to(3)), ids=lambda lam: f"s{lam.a0}t{lam.a1}")
 def test_word_graph_is_the_recursive_subgraph(lam, capsys):
-    # --word builds the f-closure inside the recursive set, not all of B_L;
-    # its graph is B_L's restricted to that set
+    # --word builds B_w by the width characterization, not all of B_L; its
+    # graph is B_L's restricted to the string recursion's set
     w = ["--s", str(lam.a0), "--t", str(lam.a1)]
     for L in range(1, 6):
         for sign, word in (("+", weyl_word_plus(L)), ("-", weyl_word_minus(L))):
@@ -133,15 +132,16 @@ def test_word_graph_is_the_recursive_subgraph(lam, capsys):
             assert (code, out) == (0, export_graph(G, "json")), (sign, L)
 
 
-def test_word_graph_missing_a_vertex_is_a_fault(monkeypatch, capsys):
-    # without f_0 of the vacuum, the closure inside B_{r1 r0}(Lambda_0)
-    # cannot reach the two vertices of the 1-string below it
-    orig = cli.demazure_crystal_recursive
-    cut = f_tilde(0, EYDTuple.vacuum(1, 0))
-    monkeypatch.setattr(cli, "demazure_crystal_recursive", lambda lam, word: orig(lam, word) - {cut})
-    with pytest.raises(RuntimeError, match="misses 2 of its vertices"):
-        main(["crystal", "--s", "1", "--t", "0", "--word", "r1r0"])
-    assert capsys.readouterr().err == ""
+def test_word_runs_no_string_recursion(monkeypatch, capsys):
+    argv = ["crystal", "--s", "1", "--t", "1", "--word", "w-4", "--format", "json"]
+    want = run(argv, capsys)
+
+    def refuse(lam, word):
+        raise AssertionError("crystal --word ran the string recursion")
+
+    monkeypatch.setattr(demazure, "demazure_crystal_recursive", refuse)
+    assert run(argv, capsys) == want and want[0] == 0
+    assert not hasattr(cli, "demazure_crystal_recursive")
 
 
 CORPUS = Path(__file__).parent / "data" / "cli_corpus.txt"
@@ -256,6 +256,15 @@ def test_usage_errors(capsys):
         ["verify", "--suite", "sanderson", "--seed", "5"],
         ["verify", "--suite", "boson-fermion", "--seed", "0"],
         ["verify", "--suite", "lemmas", "--seed", "5"],
+        # ints are ASCII digits after an optional "-", as in w+L; int() took
+        # these as 10, 3, 3 and 2
+        ["character", "--s", "1", "-L", "1_0"],
+        ["character", "--s", "1", "-L", "\uff13"],
+        ["character", "--s", "1", "-L", " 3"],
+        ["character", "--s", "1", "-L", "+2"],
+        # an empty --out was read as no --out
+        ["character", "--s", "1", "-L", "1", "--out", ""],
+        ["character", "--s", "1", "-L", "1", "--out="],
     ):
         assert_usage_error(argv, capsys)
 

@@ -6,6 +6,7 @@ from demcrystal.demazure import (
     CrystalGraph,
     demazure_crystal_direct,
     export_graph,
+    extremal_vector,
     generate_crystal,
     graph_from_json,
     subgraph,
@@ -19,8 +20,11 @@ def test_generate_crystal_anchor():
     G = generate_crystal(lam, 1)
     assert len(G.vertices) == 3
     assert len(generate_crystal(lam, 0).vertices) == 1
-    with pytest.raises(ValueError):
-        generate_crystal(lam, -1)
+    # no B_L below L = 0, no B_w for a sign at L = 0, and no third sign
+    for call in (lambda: generate_crystal(lam, -1), lambda: generate_crystal(lam, 0, "+"),
+                 lambda: generate_crystal(lam, 2, "x"), lambda: extremal_vector(lam, "+", 0)):
+        with pytest.raises(ValueError):
+            call()
 
 
 def test_export_json_roundtrip():
