@@ -21,13 +21,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .demazure import demazure_crystal_direct
-from .paths import (
-    energy,
-    enumerate_paths,
-    epsilon_L,
-    pi,
-    z_exponent,
-)
+from .paths import enumerate_paths, epsilon_L, path_weight, pi
 from .qlaurent import (
     ONE,
     ZERO,
@@ -221,10 +215,8 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
 # -- path characters ----------------------------------------------------------------
 
 def ch_path_bruteforce(lam: Weight, L: int) -> BivariatePolynomial:
-    """Sum of z^{-j} q^{E(p)} over all of P_L(Lambda)."""
-    return BivariatePolynomial(
-        Counter((-z_exponent(p, lam), 4 * energy(p, lam)) for p in enumerate_paths(lam, L))
-    )
+    """Sum of e^{wt p} over all of P_L(Lambda), specialized to z and q."""
+    return specialize(Counter(path_weight(p, lam) for p in enumerate_paths(lam, L)), lam)
 
 
 def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
@@ -322,9 +314,10 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
 
 
 def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
-    """Sum of z^{-j} q^{E} over the Demazure crystal via the path realization."""
+    """Sum of e^{wt b} over the Demazure crystal, each b read through its
+    path, specialized to z and q."""
     paths = (pi(T, L) for T in demazure_crystal_direct(lam, sign, L))
-    return BivariatePolynomial(Counter((-z_exponent(p, lam), 4 * energy(p, lam)) for p in paths))
+    return specialize(Counter(path_weight(p, lam) for p in paths), lam)
 
 
 def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:

@@ -10,12 +10,7 @@ from types import SimpleNamespace
 from . import characters as ch
 from . import verify
 from .demazure import export_graph, generate_crystal
-from .weights import (
-    Weight,
-    demazure_character_oracle,
-    parse_weyl_word,
-    specialize,
-)
+from .weights import Weight, parse_weyl_word
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -35,11 +30,14 @@ class SystemExit2(Exception):
 
 
 def _word(text: str):
-    """The reduced Weyl word ``text`` names; anything else is a usage error."""
+    """(L, sign) of the reduced Weyl word ``text`` names; anything else is a
+    usage error.  A reduced word alternates, so it is w^+/-_L by its length
+    and last letter; the identity word has no sign."""
     try:
-        return parse_weyl_word(text)
+        word = parse_weyl_word(text)
     except ValueError as e:
         raise SystemExit2(str(e)) from None
+    return len(word), "+-"[word[-1]] if word else None
 
 
 def _write_character(poly, fmt: str, out) -> int:
@@ -48,36 +46,36 @@ def _write_character(poly, fmt: str, out) -> int:
     return EXIT_OK
 
 
-# route -> character of Lambda at L; the oracle evaluates w^+_L
+# route -> (least L, character of Lambda at L): the bosonic double sum and
+# the Demazure formulas start at L = 1; the oracle evaluates w^+_L
 ROUTES = {
-    "path": lambda lam, L: ch.ch_path_bruteforce(lam, L),
-    "recursive": lambda lam, L: ch.ch_via_f(lam, L, ch.f_recursive),
-    "bosonic": lambda lam, L: ch.ch_via_f(lam, L, ch.f_bosonic),
-    "fermionic": lambda lam, L: ch.ch_via_f(lam, L, ch.f_fermionic),
-    "demazure+": lambda lam, L: ch.demazure_ch(lam, "+", L),
-    "demazure-": lambda lam, L: ch.demazure_ch(lam, "-", L),
-    "oracle": lambda lam, L: ch.demazure_ch_oracle(lam, "+", L),
+    "path": (0, lambda lam, L: ch.ch_path_bruteforce(lam, L)),
+    "recursive": (0, lambda lam, L: ch.ch_via_f(lam, L, ch.f_recursive)),
+    "bosonic": (1, lambda lam, L: ch.ch_via_f(lam, L, ch.f_bosonic)),
+    "fermionic": (0, lambda lam, L: ch.ch_via_f(lam, L, ch.f_fermionic)),
+    "demazure+": (1, lambda lam, L: ch.demazure_ch(lam, "+", L)),
+    "demazure-": (1, lambda lam, L: ch.demazure_ch(lam, "-", L)),
+    "oracle": (0, lambda lam, L: ch.demazure_ch_oracle(lam, "+", L)),
 }
-# the bosonic double sum and the Demazure formulas start at L = 1
-STARTS_AT_L1 = ("bosonic", "demazure+", "demazure-")
 
 
 def cmd_character(args, out) -> int:
     lam = _weight(args)
     if args.L is None:
         raise SystemExit2("character requires -L")
-    least = 1 if args.route in STARTS_AT_L1 else 0
+    least, route = ROUTES[args.route]
     if args.L < least:
         raise SystemExit2(f"route {args.route} requires L >= {least}")
-    return _write_character(ROUTES[args.route](lam, args.L), args.format, out)
+    return _write_character(route(lam, args.L), args.format, out)
 
 
 def cmd_oracle(args, out) -> int:
     lam = _weight(args)
     if args.word is None:
         raise SystemExit2("oracle requires --word")
-    word = _word(args.word)
-    return _write_character(specialize(demazure_character_oracle(lam, word), lam), args.format, out)
+    L, sign = _word(args.word)
+    # the identity word is w^+_0
+    return _write_character(ch.demazure_ch_oracle(lam, sign or "+", L), args.format, out)
 
 
 def cmd_crystal(args, out) -> int:
@@ -85,9 +83,7 @@ def cmd_crystal(args, out) -> int:
         raise SystemExit2("crystal takes --word or -L, not both")
     lam = _weight(args)
     if args.word is not None:  # "" is the identity word, as w+0 is
-        # a reduced word alternates: it is w^+/-_L by its length and last letter
-        word = _word(args.word)
-        G = generate_crystal(lam, len(word), "+-"[word[-1]] if word else None)
+        G = generate_crystal(lam, *_word(args.word))
     elif args.L is not None:
         if args.L < 0:
             raise SystemExit2("crystal requires L >= 0")
@@ -123,18 +119,19 @@ HELP = ("-h", "--help")
 
 
 def build_parser() -> dict:
-    """The flag table: subcommand -> (summary, flags)."""
+    """The flag table: subcommand -> (summary, handler, flags).  The handlers
+    are looked up on each call, so a replaced ``cmd_*`` is the one run."""
     return {
-        "crystal": ("enumerate a crystal or Demazure crystal", {
+        "crystal": ("enumerate a crystal or Demazure crystal", cmd_crystal, {
             **_WEIGHT, "--format": ("format", FORMATS + ("dot",), "table"), **_OUT,
             "-L": ("L", int, None), "--word": ("word", str, None)}),
-        "character": ("compute a character by a chosen route", {
+        "character": ("compute a character by a chosen route", cmd_character, {
             **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
             "-L": ("L", int, None), "--route": ("route", tuple(ROUTES), "recursive")}),
-        "oracle": ("Demazure-operator character for a word", {
+        "oracle": ("Demazure-operator character for a word", cmd_oracle, {
             **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
             "--word": ("word", str, None)}),
-        "verify": ("run a verification suite", {
+        "verify": ("run a verification suite", cmd_verify, {
             "--suite": ("suite", tuple(sorted(verify.SUITES)), None),
             "--max-k": ("max_k", int, 2), "--max-L": ("max_L", int, 4), **_OUT}),
     }
@@ -144,9 +141,9 @@ def _usage(table, command=None) -> str:
     if command is None:
         lines = [f"usage: demcrystal {{{','.join(table)}}} [--flag value ...]",
                  "Demazure crystals and characters for affine sl(2)."]
-        lines += [f"  {name:<10} {summary}" for name, (summary, _) in table.items()]
+        lines += [f"  {name:<10} {summary}" for name, (summary, _, _) in table.items()]
     else:
-        summary, flags = table[command]
+        summary, _, flags = table[command]
         lines = [f"usage: demcrystal {command} [--flag value ...]", summary]
         for flag, (_, kind, default) in flags.items():
             shown = "{" + ",".join(kind) + "}" if isinstance(kind, tuple) else kind.__name__.upper()
@@ -165,7 +162,7 @@ def parse_args(table, argv):
     command, words = argv[0], iter(argv[1:])
     if command not in table:
         raise SystemExit2(f"unknown subcommand {command!r}, choose from {', '.join(table)}")
-    flags = table[command][1]
+    flags = table[command][2]
     values = {"command": command}
     for word in words:
         if word in HELP:
@@ -213,21 +210,17 @@ def _to_file(handler, args) -> int:
 
 
 def main(argv=None) -> int:
-    handlers = {
-        "character": cmd_character,
-        "crystal": cmd_crystal,
-        "oracle": cmd_oracle,
-        "verify": cmd_verify,
-    }
     # a sink that cannot be opened or written is a usage error, not a fault
     try:
-        args = parse_args(build_parser(), sys.argv[1:] if argv is None else argv)
+        table = build_parser()
+        args = parse_args(table, sys.argv[1:] if argv is None else argv)
         if isinstance(args, str):
             sys.stdout.write(args)
             return EXIT_OK
+        handler = table[args.command][1]
         if args.out is not None:
-            return _to_file(handlers[args.command], args)
-        return handlers[args.command](args, sys.stdout)
+            return _to_file(handler, args)
+        return handler(args, sys.stdout)
     except (SystemExit2, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -12,12 +12,14 @@ from demcrystal.characters import (
     demazure_ch_bruteforce,
     demazure_ch_oracle,
     f_bosonic,
+    f_fermionic,
     f_rank_reduction,
     f_recursive,
     is_weakly_admissible,
     occupation_vectors,
     principal_character_check,
     principal_rhs,
+    real_character_check,
     resolve_mu_nu,
     sanderson_identity_check,
     sanderson_rhs,
@@ -196,6 +198,24 @@ def test_demazure_routes_reject_unknown_sign():
             route(lam, "x", 2)
 
 
+def test_brute_forces_and_oracle_specialize_through_one_map(monkeypatch):
+    # e^{-alpha_1} -> z, e^{-delta} -> q is written once, in specialize
+    calls = []
+    real = characters.specialize
+
+    def counted(chi, lam):
+        calls.append(lam)
+        return real(chi, lam)
+
+    monkeypatch.setattr(characters, "specialize", counted)
+    lam = Weight(1, 1, 0)
+    for route in (lambda: ch_path_bruteforce(lam, 2), lambda: demazure_ch_bruteforce(lam, "-", 2),
+                  lambda: demazure_ch_oracle(lam, "+", 2)):
+        calls.clear()
+        route()
+        assert calls == [lam]
+
+
 def test_demazure_union_sum():
     # ch+ + ch- counts the (L-1)-crystal twice on the overlap
     for lam in WEIGHTS[:4]:
@@ -224,6 +244,26 @@ def test_principal_and_sanderson_reject_negative_L():
     for route in (principal_rhs, sanderson_rhs, sanderson_identity_check):
         with pytest.raises(ValueError, match="requires L >= 0"):
             route(2, -1)
+
+
+def test_routes_refuse_below_their_range():
+    for route in (f_recursive, f_fermionic):
+        for k, L in ((0, 1), (1, -1)):
+            with pytest.raises(ValueError, match="requires k >= 1 and L >= 0"):
+                route(k, L, 0, 0)
+    with pytest.raises(ValueError, match="bosonic form requires k, L >= 1"):
+        f_bosonic(1, 0, 0, 0)
+    for args, match in (((1, 1, 1, 0), "requires k >= 2"),
+                        ((2, 1, -2, -2), "requires b >= 0"),
+                        ((2, 1, 0, 2), "c != b \\+ k"),
+                        ((2, 1, 0, 1), "not weakly admissible")):
+        with pytest.raises(ValueError, match=match):
+            f_rank_reduction(*args)
+    lam = Weight(1, 1, 0)
+    with pytest.raises(ValueError, match="for L > 0"):
+        demazure_ch(lam, "+", 0)
+    with pytest.raises(ValueError, match="requires L >= 1"):
+        real_character_check(lam, 0)
 
 
 def test_weak_admissibility():

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from demcrystal import characters, cli, demazure
+from demcrystal import characters, cli, demazure, verify
 from demcrystal.cli import main
 from demcrystal.demazure import (
     demazure_crystal_recursive,
@@ -25,6 +25,7 @@ from demcrystal.demazure import (
     generate_crystal,
     subgraph,
 )
+from demcrystal.eyd import EYDTuple, ExtendedYoungDiagram
 from demcrystal.qlaurent import ZERO
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import Weight, weyl_word_minus, weyl_word_plus
@@ -267,6 +268,8 @@ def test_usage_errors(capsys):
         ["character", "--s", "1", "-L", "1", "--out="],
     ):
         assert_usage_error(argv, capsys)
+    assert main(["crystal", "--s", "1"]) == 2
+    assert capsys.readouterr() == ("", "error: crystal requires --word or -L\n")
 
 
 def test_flag_syntax(capsys):
@@ -385,6 +388,30 @@ def test_verify_failure_path(monkeypatch, capsys):
     )
 
 
+def test_vertex_check_refuses_equal_widths():
+    # a valid tuple of widths (1, 1) outside B(Lambda_0 + Lambda_1): Y_1 and
+    # Y_{s+1} may not have one width off the vacuum
+    T = EYDTuple((ExtendedYoungDiagram.make(0, (-1,)), ExtendedYoungDiagram.make(1, (0,))))
+    assert T.widths() == (1, 1)
+    assert all(T not in generate_crystal(Weight(1, 1, 0), L).vertices for L in range(1, 4))
+    assert not verify._vertex_ok(T, 1)
+    assert verify._vertex_ok(EYDTuple.vacuum(1, 1), 1)
+
+
+@pytest.mark.parametrize("broken", ["e_f", "f_e"])
+def test_verify_vertex_failure_path(broken, monkeypatch, capsys):
+    # e_i f_i T = T fails when e_i forgets every vertex; f_i e_i T = T fails
+    # when e_i returns T wherever it should return None
+    real = verify.e_tilde
+    wrong = (lambda i, T: None) if broken == "e_f" else (lambda i, T: real(i, T) or T)
+    monkeypatch.setattr(verify, "e_tilde", wrong)
+    code, out = run(["verify", "--suite", "demazure-crystal", "--max-k", "1", "--max-L", "1"],
+                    capsys)
+    assert code == 1
+    assert out.startswith("FAIL vertex s=0 t=1 L=1 ")
+    assert out.endswith("demazure-crystal s=1 t=0 L=1: FAIL\nsuite demazure-crystal: FAIL\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [["character", "--s", "1", "--t", "1", "-L", "0", "--route", route]
@@ -399,11 +426,15 @@ def test_checked_before_any_route(argv, capsys):
 
 def test_route_fault_is_not_a_usage_error(monkeypatch, capsys):
     def broken(*args):
-        raise ValueError("inexact polynomial division: non-zero remainder")
+        raise ValueError(f"inexact polynomial division: non-zero remainder at {args[1:]}")
 
     monkeypatch.setattr(characters, "f_bosonic", broken)
+    monkeypatch.setattr(characters, "demazure_ch_oracle", broken)
     with pytest.raises(ValueError, match="remainder"):
         main(["character", "--s", "1", "--t", "1", "-L", "3", "--route", "bosonic"])
+    # oracle --word runs the library's oracle, at the (sign, L) of its word
+    with pytest.raises(ValueError, match=r"remainder at \('-', 3\)"):
+        main(["oracle", "--s", "1", "--t", "1", "--word", "w-3"])
     assert capsys.readouterr().err == ""
 
 

@@ -5,6 +5,7 @@ import pytest
 from demcrystal.demazure import (
     CrystalGraph,
     demazure_crystal_direct,
+    demazure_crystal_recursive,
     export_graph,
     extremal_vector,
     generate_crystal,
@@ -20,9 +21,11 @@ def test_generate_crystal_anchor():
     G = generate_crystal(lam, 1)
     assert len(G.vertices) == 3
     assert len(generate_crystal(lam, 0).vertices) == 1
-    # no B_L below L = 0, no B_w for a sign at L = 0, and no third sign
+    # no B_L below L = 0, no B_w for a sign at L = 0, no third sign and no
+    # word that is not reduced
     for call in (lambda: generate_crystal(lam, -1), lambda: generate_crystal(lam, 0, "+"),
-                 lambda: generate_crystal(lam, 2, "x"), lambda: extremal_vector(lam, "+", 0)):
+                 lambda: generate_crystal(lam, 2, "x"), lambda: extremal_vector(lam, "+", 0),
+                 lambda: demazure_crystal_recursive(lam, (0, 0))):
         with pytest.raises(ValueError):
             call()
 

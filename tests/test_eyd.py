@@ -138,6 +138,10 @@ def test_inclusion_invariant_enforced():
     with pytest.raises(ValueError):
         EYDTuple((ExtendedYoungDiagram.make(0, (-4,)), good))  # beyond the 2-shift
     EYDTuple((deep, good))  # deeper first component within the shift is fine
+    with pytest.raises(ValueError, match="charges must be sorted"):
+        EYDTuple((ExtendedYoungDiagram.make(1, ()), good))
+    with pytest.raises(ValueError, match="at least one diagram"):
+        EYDTuple(())
 
 
 def test_json_roundtrip():

@@ -14,7 +14,6 @@ from demcrystal.paths import (
     highest_lift,
     path_weight,
     pi,
-    z_exponent,
 )
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import Weight
@@ -28,7 +27,6 @@ def test_ground_state_path():
     p = ground_state_path(lam, 3)
     assert p == (2, 1, 2)
     assert energy(p, lam) == 0
-    assert z_exponent(p, lam) == 0
     assert path_weight(p, lam) == lam
     with pytest.raises(ValueError):
         ground_state_path(Weight(-1, 2, 0), 3)

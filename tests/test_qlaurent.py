@@ -13,6 +13,7 @@ from demcrystal.qlaurent import (
     q_multinomial,
     qpoch,
     qpow,
+    verify_gaussian_lemma,
     zpow,
 )
 
@@ -182,6 +183,8 @@ def test_pow():
     p = ONE + qpow(1)
     assert p ** 3 == p * p * p
     assert p ** 0 == ONE
+    with pytest.raises(ValueError, match="negative powers"):
+        p ** -1
 
 
 def test_gaussian_anchor():
@@ -217,6 +220,10 @@ def test_pochhammer_rejects_negative():
     with pytest.raises(ValueError):
         pochhammer(-1)
     assert pochhammer(0) == ONE
+    with pytest.raises(ValueError, match="qpoch requires m >= 0"):
+        qpoch(-1)
+    with pytest.raises(ValueError, match="both M and N are negative"):
+        verify_gaussian_lemma(-1, -1, 0)
 
 
 def test_q_multinomial():
@@ -235,6 +242,8 @@ def test_exact_div():
     assert num.exact_div(qpoch(2)) * qpoch(2) == num
     with pytest.raises(ValueError):
         (ONE + qpow(1) + qpow(2)).exact_div(ONE + qpow(1))
+    with pytest.raises(ZeroDivisionError):
+        num.exact_div(ZERO)
 
 
 def test_exact_div_rejects_z():
