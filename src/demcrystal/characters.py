@@ -88,10 +88,10 @@ def resolve_mu_nu(k: int, L: int, b: int, c: int) -> list[tuple[int, int]]:
 
 def f_bosonic(k: int, L: int, b: int, c: int,
               mu_nu: tuple[int, int] | None = None) -> BivariatePolynomial:
-    """f^(k)_L(b,c) by the alternating double sum over Gaussian products.
-
-    The sum is divided exactly by (q;q)_{L-1}; a remainder raises, which
-    flags an implementation or parameter error.
+    """f^(k)_L(b,c) by the alternating double sum over Gaussian products,
+    at mu_nu or else the first (mu, nu) resolve_mu_nu returns; a pair it
+    does not return raises.  The sum is divided exactly by (q;q)_{L-1}; a
+    remainder raises, which flags an implementation error.
     """
     if k < 1 or L < 1:
         raise ValueError("bosonic form requires k, L >= 1")
@@ -99,27 +99,23 @@ def f_bosonic(k: int, L: int, b: int, c: int,
         return ZERO
     if (b - L * k) % 2:  # outside the parity support, where f vanishes
         return ZERO
-    if mu_nu is None:
-        choices = resolve_mu_nu(k, L, b, c)
-        if not choices:
-            raise ValueError(f"no admissible (mu, nu) for k={k}, L={L}, (b,c)=({b},{c})")
-        mu_nu = choices[0]
-    mu, nu = mu_nu
+    choices = resolve_mu_nu(k, L, b, c)
+    if not choices:
+        raise ValueError(f"no admissible (mu, nu) for k={k}, L={L}, (b,c)=({b},{c})")
+    if mu_nu is not None and mu_nu not in choices:
+        raise ValueError(f"(mu, nu) = {mu_nu} is not among {choices} for k={k}, L={L}, (b,c)=({b},{c})")
+    mu, nu = mu_nu or choices[0]
     # A point (i, j) counts with sign (-1)^(i+j) when 2i >= L+nu and
     # 2j <= L+mu-1 (plus), with the opposite sign when 2i <= L+nu-2 and
-    # 2j >= L+mu+1, and not at all otherwise.  So each i fixes one
-    # contiguous j-range, and the j-sum is taken before the one product
-    # with gaussian(L-1, i); gaussian(L, j) vanishes outside 0..L.
+    # 2j >= L+mu+1, and not at all otherwise.  As nu = L mod 2, each i fixes
+    # one of the two contiguous j-ranges, and the j-sum is taken before the
+    # one product with gaussian(L-1, i); gaussian(L, j) vanishes outside 0..L.
     j_plus = range(min((L + mu - 1) // 2, L) + 1)
     j_minus = range(max(-(-(L + mu + 1) // 2), 0), L + 1)
     num = ZERO
     for i in range(L):  # gaussian(L-1, i) vanishes outside 0..L-1
-        if 2 * i >= L + nu:
-            plus, js = True, j_plus
-        elif 2 * i <= L + nu - 2:
-            plus, js = False, j_minus
-        else:
-            continue
+        plus = 2 * i >= L + nu
+        js = j_plus if plus else j_minus
         # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L;
         # the terms of each sign are summed apart, so one subtraction signs them
         A = 2 * i - L + 1
@@ -284,11 +280,6 @@ def _quarters_over(e4k: int, k: int) -> int:
 
 # -- Demazure characters -----------------------------------------------------------------
 
-def level_weight(i: int, k: int) -> Weight:
-    """i Lambda_0 + (k - i) Lambda_1."""
-    return Weight(i, k - i, 0)
-
-
 def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """ch^{+/-}_L(Lambda) through the layer expansion over ch_{L-1}."""
     if L <= 0:
@@ -297,19 +288,14 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
         raise ValueError("sign must be '+' or '-'")
     require_dominant(lam)
     s, t = lam.a0, lam.a1
-    k = s + t
     e = epsilon_L(L)
+    # layer m is ch_{L-1} at Lambda moved m steps toward k Lambda_1 ("+") or
+    # k Lambda_0 ("-"): the "-" sum is the "+" sum with Lambda_0, Lambda_1 swapped
+    n, flip = (s, 1) if sign == "+" else (t, -1)
     out = ZERO
-    if sign == "+":
-        for i in range(s + 1):
-            part = ch_via_f(level_weight(i, k), L - 1)
-            out = out + part.q_shift((L + e) // 2 * (s - i)).z_shift(-e * (s - i))
-    else:
-        for i in range(t + 1):
-            part = ch_via_f(level_weight(k - i, k), L - 1)
-            out = out + part.q_shift((L - e) // 2 * (t - i)).z_shift(e * (t - i))
-    if not out.has_integer_exponents():
-        raise ValueError("Demazure character came out with non-integer exponents")
+    for m in range(n + 1):
+        part = ch_via_f(Weight(s - flip * m, t + flip * m, 0), L - 1)
+        out = out + part.q_shift((L + flip * e) // 2 * m).z_shift(-flip * e * m)
     return out
 
 
@@ -360,7 +346,7 @@ def principal_rhs(k: int, L: int) -> BivariatePolynomial:
     for T in range(-L * k, L * k + 1, 2):
         for xs in occupation_vectors(k, L, T):
             e4k = 2 * T * (T + k) + 8 * _cartan_form(k, xs[1:k])
-            out = out + q_multinomial(L, xs).scale_q_exponents(2).shift_quarters(_quarters_over(e4k, k))
+            out = out + q_multinomial(L, xs).subs_q_to_q2().shift_quarters(_quarters_over(e4k, k))
     return out
 
 

@@ -33,14 +33,15 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import index
 
 
 def _quarters(value) -> int:
     """4 * value as an int; the single check on q-exponents entering the
-    ring: an int (not a bool), a Fraction or the str that JSON carries."""
+    ring: an int (not a bool), a Fraction or the str n/d that JSON carries."""
     if type(value) is int:
         return 4 * value
+    if isinstance(value, str) and not _RATIO.fullmatch(value):
+        raise ValueError(f"q-exponent {value!r} is not written n/d with d > 0")
     if not isinstance(value, (Fraction, str)):
         raise TypeError(f"q-exponent {value!r} is not an int, a Fraction or a str")
     f = Fraction(value)
@@ -49,8 +50,9 @@ def _quarters(value) -> int:
     return f.numerator * (4 // f.denominator)
 
 
-# a coefficient as to_json_obj writes it: the str of an int
+# a coefficient and a q-exponent as to_json_obj writes them, in ASCII digits
 _DECIMAL = re.compile(r"-?[0-9]+")
+_RATIO = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
 
 
 def _reduced(q4: int) -> tuple[int, int]:
@@ -283,10 +285,6 @@ class BivariatePolynomial:
     def has_integer_exponents(self) -> bool:
         return all(q4 % 4 == 0 for _, q4 in self.terms)
 
-    def value_at_one(self) -> int:
-        """Value at z = q = 1 (sum of coefficients)."""
-        return sum(self.terms.values())
-
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
         return self.shift_quarters(_quarters(qe))
@@ -296,7 +294,9 @@ class BivariatePolynomial:
         return _poly({z: (lo + q4, p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
 
     def z_shift(self, ze: int) -> "BivariatePolynomial":
-        """Multiply by z^ze."""
+        """Multiply by z^ze for an int (not a bool) ze."""
+        if type(ze) is not int:
+            raise TypeError(f"z-exponent {ze!r} is not an int")
         return _poly({z + ze: row for z, row in self._rows.items()}, self._norm, self._bits)
 
     def _substitute(self, new_key) -> "BivariatePolynomial":
@@ -307,11 +307,6 @@ class BivariatePolynomial:
             out[key] = out.get(key, 0) + c
         return BivariatePolynomial(out)
 
-    def scale_q_exponents(self, factor: int) -> "BivariatePolynomial":
-        """Substitute q = q^factor for an integer factor."""
-        factor = index(factor)
-        return self._substitute(lambda z, q4: (z, q4 * factor))
-
     def subs_q_one_z_to_qinv(self) -> "BivariatePolynomial":
         """Substitute q = 1 first and then z = q^{-1} (fresh variable q)."""
         return self._substitute(lambda z, q4: (0, -4 * z))
@@ -319,6 +314,10 @@ class BivariatePolynomial:
     def subs_z_to_q_q_to_q2(self) -> "BivariatePolynomial":
         """Substitute z = q, q = q^2 simultaneously."""
         return self._substitute(lambda z, q4: (0, 4 * z + 2 * q4))
+
+    def subs_q_to_q2(self) -> "BivariatePolynomial":
+        """Substitute q = q^2."""
+        return self._substitute(lambda z, q4: (z, 2 * q4))
 
     # -- exact division ----------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -188,7 +189,7 @@ def test_demazure_anchor():
     # L = 2 gives a 9-term character of total dimension 9
     chi = demazure_ch(lam, "+", 2)
     assert len(chi.terms) == 9
-    assert chi.value_at_one() == 9
+    assert sum(chi.terms.values()) == 9
 
 
 def test_demazure_routes_reject_unknown_sign():
@@ -227,7 +228,7 @@ def test_demazure_union_sum():
                 assert total - full == overlap
             else:
                 # B_0 is the vacuum alone
-                assert (total - full).value_at_one() == 1
+                assert sum((total - full).terms.values()) == 1
 
 
 @pytest.mark.parametrize("k", [4, 5])
@@ -253,6 +254,11 @@ def test_routes_refuse_below_their_range():
                 route(k, L, 0, 0)
     with pytest.raises(ValueError, match="bosonic form requires k, L >= 1"):
         f_bosonic(1, 0, 0, 0)
+    # a (mu, nu) that resolve_mu_nu does not return was used as given:
+    # (5, 6) gave 0 for f = 1 + q; (0, 1) and (2, 1) have the wrong parity
+    for mu_nu in ((5, 6), (0, 1), (2, 1)):
+        with pytest.raises(ValueError, match=re.escape(f"(mu, nu) = {mu_nu} is not among")):
+            f_bosonic(1, 2, 0, 1, mu_nu)
     for args, match in (((1, 1, 1, 0), "requires k >= 2"),
                         ((2, 1, -2, -2), "requires b >= 0"),
                         ((2, 1, 0, 2), "c != b \\+ k"),

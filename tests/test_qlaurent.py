@@ -70,6 +70,18 @@ def test_only_exact_exponents_and_operands():
     with pytest.raises(TypeError):
         BivariatePolynomial.from_json_obj([{"ze": 0, "qe": 0.5, "c": "1"}])
     assert qpow("3/4") == qpow(Fraction(3, 4))  # the str JSON carries
+    assert qpow("-3/4") == qpow(Fraction(-3, 4)) and qpow("0/1") == ONE
+    # any str Fraction reads was taken: "1_0/4" as q^(5/2), and "1/0" raised
+    # ZeroDivisionError
+    for bad in ("0.25", "1e0", "1_0/4", "\uff13/4", " 1/4", "+1/4", "1/0", "1/00", "1"):
+        with pytest.raises(ValueError):
+            qpow(bad)
+        with pytest.raises(ValueError):
+            BivariatePolynomial.from_json_obj([{"ze": 0, "qe": bad, "c": "1"}])
+    # (1 + z).z_shift(0.5) was z^0.5 + z^1.5, and z_shift(True) was z_shift(1)
+    for bad in (0.5, 1.0, True, None, Fraction(1)):
+        with pytest.raises(TypeError):
+            (ONE + zpow(1)).z_shift(bad)
     # a bool or a float compares equal to an int: ONE + True was 2, ONE ==
     # True held, and a float coefficient died in _width with a >> message
     for op in (operator.add, operator.sub, operator.mul):
@@ -206,8 +218,8 @@ def test_gaussian_negative_top():
     g = gaussian(-2, 1)
     assert g != ZERO
     # [M,i] at q=1 is binomial(M,i), extended: C(-2,1) = -2
-    assert g.value_at_one() == -2
-    assert gaussian(-3, 2).value_at_one() == 6
+    assert sum(g.terms.values()) == -2
+    assert sum(gaussian(-3, 2).terms.values()) == 6
 
 
 def test_gaussian_symmetry():
@@ -230,7 +242,7 @@ def test_q_multinomial():
     assert q_multinomial(4, (2, 2)) == gaussian(4, 2)
     m = q_multinomial(4, (1, 1, 2))
     assert m == gaussian(4, 1) * gaussian(3, 1)
-    assert m.value_at_one() == 12
+    assert sum(m.terms.values()) == 12
     assert q_multinomial(3, (1, 1, 2)) == ZERO
     # memoized on the sorted parts: any order and any iterable give it
     assert q_multinomial(4, [2, 1, 1]) == q_multinomial(4, iter((1, 2, 1))) == m

@@ -3,8 +3,9 @@ statement (``python -O`` strips them), no float literal, no ``float(`` call,
 no true division ``/`` and no ``random`` import (every result and every
 verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 ``Fraction`` outside ``qlaurent._quarters``; no route to f^(k)_L or to
-the fermionic F-sum built on another of them, or memoized; and no memo on
-a crystal operator or crystal generator."""
+the fermionic F-sum built on another of them, and no Demazure character
+route built on another; no memo on any cross-checked character route; and
+no memo on a crystal operator or crystal generator."""
 import ast
 from pathlib import Path
 
@@ -107,22 +108,31 @@ def test_fraction_rule_catches_the_pattern():
     assert sorted(fraction_uses(ast.parse(source))) == sorted(strays + [(1, "Fraction import"), (4, "Fraction use")])
 
 
-# The routes that exist to check each other may not be built on each other;
-# f_rank_reduction and ch_via_f are built on f by definition and are exempt.
+# The routes that exist to check each other may not be built on each other.
+# Each group pairs its routes with the names they may not mention: the f
+# routes may not name ch_via_f either, while f_rank_reduction and ch_via_f
+# are built on f by definition and are exempt; the Demazure triangle's three
+# routes are compared with each other by A4.
 INDEPENDENT_ROUTES = ("f_recursive", "f_bosonic", "f_fermionic", "F_fermionic")
+DEMAZURE_ROUTES = ("demazure_ch", "demazure_ch_bruteforce", "demazure_ch_oracle")
+ROUTE_GROUPS = (
+    (INDEPENDENT_ROUTES, INDEPENDENT_ROUTES + ("ch_via_f",)),
+    (DEMAZURE_ROUTES, DEMAZURE_ROUTES),
+)
 
 
 def route_crossings(tree):
-    """(line, what) for each mention, inside an independent route's
-    definition, of another independent route or of ch_via_f."""
+    """(line, what) for each mention, inside a route's definition, of a
+    name its group bans, other than its own."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name in INDEPENDENT_ROUTES:
-            banned = set(INDEPENDENT_ROUTES + ("ch_via_f",)) - {node.name}
-            for inner in ast.walk(node):
-                # a Name's id or an Attribute's attr
-                name = getattr(inner, "id", None) or getattr(inner, "attr", None)
-                if name in banned:
-                    yield inner.lineno, f"{node.name} names {name}"
+        for routes, names in ROUTE_GROUPS:
+            if isinstance(node, ast.FunctionDef) and node.name in routes:
+                banned = set(names) - {node.name}
+                for inner in ast.walk(node):
+                    # a Name's id or an Attribute's attr
+                    name = getattr(inner, "id", None) or getattr(inner, "attr", None)
+                    if name in banned:
+                        yield inner.lineno, f"{node.name} names {name}"
 
 
 def test_routes_stay_independent():
@@ -133,7 +143,7 @@ def test_routes_stay_independent():
         defined |= {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
     assert found == []
     # the rule guards routes that exist
-    assert set(INDEPENDENT_ROUTES) <= defined
+    assert set(INDEPENDENT_ROUTES + DEMAZURE_ROUTES) <= defined
 
 
 def test_route_rule_catches_the_pattern():
@@ -143,22 +153,28 @@ def test_route_rule_catches_the_pattern():
         "def f_bosonic(k, impl=f_fermionic):\n    return ch_via_f(k, impl)\n"
         "def ch_via_f(lam, f_impl=f_recursive):\n    return f_impl(lam)\n"
         "def f_rank_reduction(k):\n    return f_recursive(k - 1)\n"
+        "def demazure_ch(lam):\n    return ch_via_f(lam)\n"
+        "def demazure_ch_oracle(lam, sign, L):\n    return ch.demazure_ch(lam, sign, L)\n"
     )
     assert sorted(route_crossings(ast.parse(source))) == [
         (4, "F_fermionic names f_recursive"),
         (5, "f_bosonic names f_fermionic"),
         (6, "f_bosonic names ch_via_f"),
+        (14, "demazure_ch_oracle names demazure_ch"),
     ]
 
 
 # A memo on a cross-checked route would let a check read back a stored
-# result in place of a fresh computation; f_recursive is memoized by
-# definition (its recursion reads its own earlier values) and is exempt.
+# result in place of a fresh computation: A3 compares the path characters,
+# A4 the Demazure triangle.  f_recursive is memoized by definition (its
+# recursion reads its own earlier values) and is exempt.
 # The crystal operators and generators are cross-checked routes too: the
 # EYD kernel and pi may cache per-diagram geometry, never a tuple or a crystal.
 # The Demazure-operator oracle checks both, and recomputes every call too.
 UNMEMOIZED_ROUTES = (
-    "f_bosonic", "f_fermionic", "F_fermionic",
+    "f_bosonic", "f_fermionic", "F_fermionic", "f_rank_reduction",
+    "ch_via_f", "ch_path_bruteforce",
+    "demazure_ch", "demazure_ch_bruteforce", "demazure_ch_oracle",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
     "pi",
     "demazure_operator", "demazure_character_oracle",
@@ -205,6 +221,8 @@ def test_memo_rule_catches_the_pattern():
         "@lru_cache(maxsize=None)\ndef _corner_entries(pos, charge, columns):\n    pass\n"
         "f_tilde = cache(f_tilde)\n"
         "demazure_character_oracle = lru_cache(None)(demazure_character_oracle)\n"
+        "@lru_cache(maxsize=None)\ndef demazure_ch(lam, sign, L):\n    pass\n"
+        "ch_via_f = cache(ch_via_f)\n"
     )
     assert sorted(memoized_routes(ast.parse(source))) == [
         (3, "f_bosonic is memoized"),
@@ -214,4 +232,6 @@ def test_memo_rule_catches_the_pattern():
         (20, "generate_crystal is memoized"),
         (26, "f_tilde is rebound"),
         (27, "demazure_character_oracle is rebound"),
+        (28, "demazure_ch is memoized"),
+        (31, "ch_via_f is rebound"),
     ]
