@@ -21,16 +21,17 @@ Both width-bounded searches are exact, not heuristics:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
-from .eyd import ExtendedYoungDiagram, EYDTuple, epsilon_i, f_tilde
+from .eyd import ExtendedYoungDiagram, EYDTuple, Frozen, epsilon_i, f_tilde
 from .weights import Weight, is_reduced, require_dominant
 
 
-@dataclass(frozen=True)
-class CrystalGraph:
-    vertices: frozenset[EYDTuple]
-    edges: frozenset[tuple[EYDTuple, int, EYDTuple]]
+class CrystalGraph(Frozen):
+    __slots__ = _fields = ("vertices", "edges")
+
+    def __init__(self, vertices: frozenset[EYDTuple], edges: frozenset[tuple[EYDTuple, int, EYDTuple]]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def generate_crystal(lam: Weight, L: int, sign=None) -> CrystalGraph:

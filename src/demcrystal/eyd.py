@@ -8,21 +8,29 @@ adjacent concave/convex pairs, and flip the extremal relevant entry.
 
 Each operator step costs about one diagram's worth of work, not k:
 
-- ``_corner_entries(position, charge, columns)`` caches, per color, the
-  signature entries of one diagram at one tuple position, and
-  ``_box_move(charge, columns, column, step)`` caches the diagram with one
-  box added or removed in one column.  Both are keyed on the diagram's
-  value, not on an instance, because every step builds a fresh tuple, and
-  they hold tuples and frozen diagrams only, so no caller can change a
-  cached value.  They fill lazily and are unbounded: B_L(Lambda) has
-  (k+1)^L vertices but far fewer distinct diagrams of width <= L.  No
-  tuple-level or crystal-level result is cached.
-- A box move changes column j of one diagram and nothing else, and the
-  tuple it acts on was valid.  The inclusion rule is a condition on each
-  column by itself (nondecreasing down the tuple, last <= first + 2), the
-  other columns keep their depths and the charges are unchanged, so
-  checking column j alone is the full check.  ``EYDTuple(...)`` still
-  checks every column, for every other caller.
+- Diagrams are value-interned: ``ExtendedYoungDiagram(charge, columns)``
+  returns the one diagram of that value, so equal diagrams are one
+  object.  Each diagram memoizes its own geometry: per tuple position,
+  its signature entries of each color; per column, the diagram with one
+  box added or removed there; and per window L, the parity row
+  ``paths.pi`` reads.  Every step builds a fresh tuple, but its diagrams
+  are shared, so a step reads these facts off the diagrams instead of
+  hashing their columns again.  The memos hold tuples and interned
+  diagrams only, so no caller can change a stored value.  They fill
+  lazily and are unbounded: B_L(Lambda) has (k+1)^L vertices but far
+  fewer distinct diagrams of width <= L.  No tuple-level or crystal-level
+  result is cached, and an ``EYDTuple`` has no slot to hold one.
+- A box move changes the depth of column j of diagram p and nothing
+  else, and the tuple it acts on was valid.  The inclusion rule is a
+  condition on each column by itself (nondecreasing down the tuple,
+  last <= first + 2), the other columns keep their depths and the
+  charges are unchanged, so only column j can break, and only where its
+  moved entry takes part: the comparisons with its neighbours p - 1 and
+  p + 1, and the wrap last <= first + 2 when p is the first or the last
+  diagram.  ``_with_move`` checks those, in O(1), and raises what the
+  full check would: the full check reads a column's order before its
+  wrap.  ``EYDTuple(...)`` still checks every column, for every other
+  caller.
 - A diagram computes its hash once, from its negated depths, and an
   ``EYDTuple`` once, from its diagrams' hashes.  The canonical ``key()``
   is no hash: CPython hashes -1 and -2 alike, and hashing the keys gave
@@ -31,8 +39,8 @@ Each operator step costs about one diagram's worth of work, not k:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from operator import itemgetter
+from typing import NamedTuple
 
 from .weights import Weight
 
@@ -40,8 +48,41 @@ CONCAVE = "concave"
 CONVEX = "convex"
 
 
-@dataclass(frozen=True)
-class Corner:
+class Frozen:
+    """An immutable value kept in ``__slots__``, whose ``_fields`` are its
+    value: it equals only instances of its own class with equal fields,
+    hashes, prints and pickles by them, and setting or deleting any
+    attribute raises."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__name__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Corner(NamedTuple):
     m: int
     n: int
     shape: str
@@ -50,28 +91,46 @@ class Corner:
     column: int  # the column whose depth changes when the corner is used
 
 
-@dataclass(frozen=True)
-class ExtendedYoungDiagram:
-    """Column sequence stored as the sub-charge prefix plus the charge."""
+# every diagram made so far, by (charge, columns)
+_DIAGRAMS: dict = {}
 
-    charge: int
-    columns: tuple[int, ...]
 
-    def __post_init__(self):
+class ExtendedYoungDiagram(Frozen):
+    """Column sequence stored as the sub-charge prefix plus the charge;
+    value-interned, with its geometry memoized on it (module docstring)."""
+
+    __slots__ = ("charge", "columns", "_hash", "_entries", "_added", "_removed", "_rows")
+    _fields = ("charge", "columns")
+
+    def __new__(cls, charge: int, columns: tuple[int, ...]):
         # a bool or a float equals an int but is not a depth
-        if type(self.charge) is not int or self.charge not in (0, 1):
+        if type(charge) is not int or charge not in (0, 1):
             raise ValueError("charge must be the int 0 or 1")
+        columns = tuple(columns)
         prev = None
-        for y in self.columns:
+        for y in columns:
             if type(y) is not int:
                 raise ValueError(f"column depth {y!r} is not an int")
-            if y >= self.charge:
+            if y >= charge:
                 raise ValueError("stored prefix must lie strictly below the charge")
             if prev is not None and y < prev:
                 raise ValueError("column depths must be nondecreasing")
             prev = y
-        # the negated depths are >= 0 and each hashes to itself
-        object.__setattr__(self, "_hash", hash((self.charge,) + tuple(-y for y in self.columns)))
+        Y = _DIAGRAMS.get((charge, columns))
+        if Y is None:
+            Y = _DIAGRAMS[charge, columns] = object.__new__(cls)
+            for name, value in (
+                ("charge", charge),
+                ("columns", columns),
+                # the negated depths are >= 0 and each hashes to itself
+                ("_hash", hash((charge,) + tuple(-y for y in columns))),
+                ("_entries", {}),
+                ("_added", {}),
+                ("_removed", {}),
+                ("_rows", {}),
+            ):
+                object.__setattr__(Y, name, value)
+        return Y
 
     def __hash__(self) -> int:
         return self._hash
@@ -131,10 +190,58 @@ class ExtendedYoungDiagram:
         return out
 
     def add_box(self, column: int) -> "ExtendedYoungDiagram":
-        return _box_move(self.charge, self.columns, column, -1)
+        Y = self._added.get(column)
+        if Y is None:
+            Y = self._added[column] = self._moved(column, -1)
+        return Y
 
     def remove_box(self, column: int) -> "ExtendedYoungDiagram":
-        return _box_move(self.charge, self.columns, column, 1)
+        Y = self._removed.get(column)
+        if Y is None:
+            Y = self._removed[column] = self._moved(column, 1)
+        return Y
+
+    def _moved(self, column: int, step: int) -> "ExtendedYoungDiagram":
+        """This diagram with column ``column`` moved by ``step``: -1 adds a
+        box, +1 removes one."""
+        if column < 0:  # a negative index would move a column counted from the end
+            raise ValueError("column must be >= 0")
+        cols = list(self.row(column + 1))
+        cols[column] += step
+        return ExtendedYoungDiagram.make(self.charge, cols)
+
+    def signature_entries(self, position: int):
+        """Per color, the signature entries of this diagram at a tuple
+        position, as sorted ``(-diagonal, position, bit, column)`` tuples.
+
+        Column j (up to the width, where the charge sits) has a concave
+        corner on diagonal j + y_j when j = 0 or y_{j-1} < y_j, and the same
+        condition gives the convex corner of column j - 1 on diagonal
+        j + y_{j-1}; the color is the diagonal's parity and the bit is 0 for
+        concave, 1 for convex.
+        """
+        per_color = self._entries.get(position)
+        if per_color is None:
+            out = ([], [])
+            prev = None
+            for j, y in enumerate(self.columns + (self.charge,)):
+                if prev is None or prev < y:
+                    out[(j + y) % 2].append((-j - y, position, 0, j))
+                    if prev is not None:
+                        out[(j + prev) % 2].append((-j - prev, position, 1, j - 1))
+                prev = y
+            per_color = self._entries[position] = (tuple(sorted(out[0])), tuple(sorted(out[1])))
+        return per_color
+
+    def parity_row(self, L: int) -> tuple[int, ...]:
+        """Per column j < L, 1 if y_j + j is even, else 0: this diagram's
+        share of the letters ``paths.pi`` reads off a window of length L."""
+        row = self._rows.get(L)
+        if row is None:
+            if len(self.columns) > L:
+                raise ValueError("window length L is smaller than a diagram width")
+            row = self._rows[L] = tuple([1 - (y + j) % 2 for j, y in enumerate(self.row(L))])
+        return row
 
     def to_json_obj(self) -> dict:
         return {"charge": self.charge, "columns": list(self.columns)}
@@ -144,30 +251,28 @@ class ExtendedYoungDiagram:
         return cls.make(obj["charge"], obj["columns"])
 
 
-@lru_cache(maxsize=None)
-def _box_move(charge: int, columns: tuple[int, ...], column: int, step: int) -> ExtendedYoungDiagram:
-    """The diagram (charge, columns) with column ``column`` moved by ``step``:
-    -1 adds a box, +1 removes one."""
-    if column < 0:  # a negative index would move a column counted from the end
-        raise ValueError("column must be >= 0")
-    cols = list(columns) + [charge] * (column + 1 - len(columns))
-    cols[column] += step
-    return ExtendedYoungDiagram.make(charge, cols)
-
-
-@dataclass(frozen=True)
-class SignatureEntry:
+class SignatureEntry(NamedTuple):
     bit: int  # 0 for concave, 1 for convex
     diagram: int  # 1-based position in the tuple
     diagonal: int
     column: int
 
 
-@dataclass(frozen=True)
-class EYDTuple:
-    diagrams: tuple[ExtendedYoungDiagram, ...]
+_CONSECUTIVE = "inclusion rule violated between consecutive diagrams"
+_SHIFTED = "inclusion rule violated against the shifted first diagram"
+
+
+class EYDTuple(Frozen):
+    __slots__ = ("diagrams", "_hash")
+    _fields = ("diagrams",)
+
+    def __init__(self, diagrams: tuple[ExtendedYoungDiagram, ...]):
+        _set_diagrams(self, diagrams)
+        self.__post_init__()
 
     def __post_init__(self):
+        """The full check of every column; ``perfbench`` traces it by this
+        name, as ``eyd.tuple_validate``."""
         charges = [Y.charge for Y in self.diagrams]
         if charges != sorted(charges):
             raise ValueError("diagram charges must be sorted (all 0s before all 1s)")
@@ -176,19 +281,44 @@ class EYDTuple:
         maxw = max(len(Y.columns) for Y in self.diagrams)
         for col in zip(*(Y.row(maxw + 1) for Y in self.diagrams)):
             _check_inclusion(list(col))
-        object.__setattr__(self, "_hash", hash(self.diagrams))
+        _set_hash(self, hash(self.diagrams))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.diagrams == other.diagrams
 
     def __hash__(self) -> int:
         return self._hash
 
     def _with_move(self, index: int, Y: ExtendedYoungDiagram, column: int) -> "EYDTuple":
         """This tuple with diagram ``index`` set to ``Y``, one box move away
-        from it in ``column``; only that column is checked (module docstring)."""
-        ds = self.diagrams[:index] + (Y,) + self.diagrams[index + 1:]
-        _check_inclusion([D.columns[column] if column < len(D.columns) else D.charge for D in ds])
+        from it in ``column``; only the moved entry's neighbours and the
+        wrap are checked (module docstring)."""
+        ds = self.diagrams
+        last = len(ds) - 1
+        v = Y.columns[column] if column < len(Y.columns) else Y.charge
+        if index:
+            D = ds[index - 1]
+            if (D.columns[column] if column < len(D.columns) else D.charge) > v:
+                raise ValueError(_CONSECUTIVE)
+        if index < last:
+            D = ds[index + 1]
+            if v > (D.columns[column] if column < len(D.columns) else D.charge):
+                raise ValueError(_CONSECUTIVE)
+        if index == 0 or index == last:
+            D = ds[0]
+            first = v if index == 0 else (D.columns[column] if column < len(D.columns) else D.charge)
+            D = ds[last]
+            final = v if index == last else (D.columns[column] if column < len(D.columns) else D.charge)
+            if final > first + 2:
+                raise ValueError(_SHIFTED)
+        ds = list(ds)
+        ds[index] = Y
+        ds = tuple(ds)
         out = object.__new__(EYDTuple)
-        # the frozen dataclass blocks __setattr__, not its instance dict
-        out.__dict__.update(diagrams=ds, _hash=hash(ds))
+        _set_diagrams(out, ds)
+        _set_hash(out, hash(ds))
         return out
 
     @classmethod
@@ -225,12 +355,17 @@ class EYDTuple:
         return tuple((Y.charge, Y.columns) for Y in self.diagrams)
 
 
+# the slots' own setters, which Frozen.__setattr__ does not guard
+_set_diagrams = EYDTuple.diagrams.__set__
+_set_hash = EYDTuple._hash.__set__
+
+
 def _check_inclusion(col: list[int]) -> None:
     """The inclusion rule on one column: its depths y_j, in tuple order."""
     if col != sorted(col):
-        raise ValueError("inclusion rule violated between consecutive diagrams")
+        raise ValueError(_CONSECUTIVE)
     if col[-1] > col[0] + 2:
-        raise ValueError("inclusion rule violated against the shifted first diagram")
+        raise ValueError(_SHIFTED)
 
 
 def i_signature(T: EYDTuple, i: int) -> list[SignatureEntry]:
@@ -266,40 +401,25 @@ def reduce_signature(bits) -> list[int]:
     return relevant
 
 
-@lru_cache(maxsize=None)
-def _corner_entries(position: int, charge: int, columns: tuple[int, ...]):
-    """Per color, the signature entries of one diagram at a tuple position,
-    as sorted ``(-diagonal, position, bit, column)`` tuples.
-
-    Column j (up to the width, where the charge sits) has a concave corner
-    on diagonal j + y_j when j = 0 or y_{j-1} < y_j, and the same condition
-    gives the convex corner of column j - 1 on diagonal j + y_{j-1}; the
-    color is the diagonal's parity and the bit is 0 for concave, 1 for
-    convex.
-    """
-    out = ([], [])
-    prev = None
-    for j, y in enumerate(columns + (charge,)):
-        if prev is None or prev < y:
-            out[(j + y) % 2].append((-j - y, position, 0, j))
-            if prev is not None:
-                out[(j + prev) % 2].append((-j - prev, position, 1, j - 1))
-        prev = y
-    return tuple(sorted(out[0])), tuple(sorted(out[1]))
+_NEGATED_DIAGONAL = itemgetter(0)
 
 
 def _unmatched(T: EYDTuple, i: int):
-    """The reduced i-signature from each diagram's cached corner entries.
+    """The reduced i-signature from each diagram's memoized entries.
 
-    Sorting the entries reproduces the (d, j) order of ``i_signature``:
-    diagonals are distinct within one diagram.  Returns the unmatched
-    convex entries and the unmatched concave entries, each in signature
-    order.
+    Sorting the entries by falling diagonal reproduces the (d, j) order of
+    ``i_signature``: diagonals are distinct within one diagram, each
+    diagram's entries are in that order already, and the sort is stable,
+    so entries on one diagonal keep their tuple-position order.  Returns
+    the unmatched convex entries and the unmatched concave entries, each
+    in signature order.
     """
     entries = []
     for pos, Y in enumerate(T.diagrams):
-        entries += _corner_entries(pos, Y.charge, Y.columns)[i]
-    entries.sort()
+        # the memo read inline, saving a method call per diagram
+        per_color = Y._entries.get(pos)
+        entries += (per_color or Y.signature_entries(pos))[i]
+    entries.sort(key=_NEGATED_DIAGONAL)
     ones, zeros = [], []
     for e in entries:
         if e[2] == 0:
@@ -311,22 +431,37 @@ def _unmatched(T: EYDTuple, i: int):
     return ones, zeros
 
 
-def f_tilde(i: int, T: EYDTuple):
-    """Add one i-colored box at the leftmost relevant concave corner, or None."""
-    zeros = _unmatched(T, i)[1]
+def _add(T: EYDTuple, zeros):
+    """The box added at the leftmost unmatched concave entry, or None."""
     if not zeros:
         return None
     _, pos, _, column = zeros[0]
     return T._with_move(pos, T.diagrams[pos].add_box(column), column)
 
 
-def e_tilde(i: int, T: EYDTuple):
-    """Remove one i-colored box at the rightmost relevant convex corner, or None."""
-    ones = _unmatched(T, i)[0]
+def _remove(T: EYDTuple, ones):
+    """The box removed at the rightmost unmatched convex entry, or None."""
     if not ones:
         return None
     _, pos, _, column = ones[-1]
     return T._with_move(pos, T.diagrams[pos].remove_box(column), column)
+
+
+def f_tilde(i: int, T: EYDTuple):
+    """Add one i-colored box at the leftmost relevant concave corner, or None."""
+    return _add(T, _unmatched(T, i)[1])
+
+
+def e_tilde(i: int, T: EYDTuple):
+    """Remove one i-colored box at the rightmost relevant convex corner, or None."""
+    return _remove(T, _unmatched(T, i)[0])
+
+
+def f_and_e_tilde(i: int, T: EYDTuple):
+    """``(f_tilde(i, T), e_tilde(i, T))``, both read off one reduced
+    i-signature."""
+    ones, zeros = _unmatched(T, i)
+    return _add(T, zeros), _remove(T, ones)
 
 
 def epsilon_i(T: EYDTuple, i: int) -> int:

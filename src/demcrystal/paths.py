@@ -12,12 +12,16 @@ coefficient s for even L and t for odd L; and p_0's Lambda_0-coefficient
 is that value minus sum_{j<L} (k - 2 m_j).
 
 ``pi`` reads a pattern's letters as the elementwise sum of one parity row
-per diagram; ``_parity_row`` caches that row per diagram value and window
-L, and holds tuples of ints only.  No path, tuple or crystal is cached.
+per diagram: for a window of length L, the row of Y holds 1 at column
+j < L when y_j + j is even and 0 otherwise, so column j's letter counts
+the diagrams with t_{ij} + j even.  Each diagram memoizes its rows, one
+tuple of ints per L (``ExtendedYoungDiagram.parity_row``); diagrams are
+value-interned, so the paths of B_L(Lambda), which share far fewer
+distinct diagrams than they have vertices, share the rows too.  No path,
+tuple or crystal is cached.
 """
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import product
 
 from .eyd import ExtendedYoungDiagram, EYDTuple
@@ -50,16 +54,19 @@ def h_local(k: int, m: int, m2: int) -> int:
 
 def energy(p: tuple[int, ...], lam: Weight) -> int:
     """Weighted sum of local energies with the forced letter m_L = g_L
-    appended, less the ground state's sum in closed form."""
+    appended, less the ground state's sum in closed form.  The letters are
+    walked once as (m_{j-1}, m_j) pairs; at L = 0 there is no pair."""
     k = lam.level
     L = len(p)
-    ms = p + ground_state_path(lam, L + 1)[L:]
+    letters = iter(p + ground_state_path(lam, L + 1)[L:])
+    h = k - next(letters)  # k - m_{j-1}
     total = 0
-    for j in range(1, L + 1):
-        # h_local(k, m_{j-1}, m_j), inlined
-        h = k - ms[j - 1]
-        m = ms[j]
+    j = 1
+    for m in letters:
+        # j * h_local(k, m_{j-1}, m_j), inlined
         total += j * (h if h > m else m)
+        h = k - m
+        j += 1
     return total - ground_state_H_sum(lam, L)
 
 
@@ -107,22 +114,8 @@ def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     """Project a pattern to its path: column j contributes the letter
     counting the diagrams with t_{ij} + j even, so each letter lies in
     0..k by construction.  The letters are the elementwise sum of the
-    diagrams' ``_parity_row``s."""
-    rows = [_parity_row(Y.charge, Y.columns, L) for Y in T.diagrams]
-    return tuple(map(sum, zip(*rows)))
-
-
-@lru_cache(maxsize=None)
-def _parity_row(charge: int, columns: tuple[int, ...], L: int) -> tuple[int, ...]:
-    """Per column j < L of one diagram, 1 if y_j + j is even, else 0.
-
-    Keyed on the diagram's value and L, like the kernel caches in ``eyd``:
-    it holds tuples of ints only, and the paths of B_L(Lambda) share far
-    fewer distinct diagrams than they have vertices."""
-    if len(columns) > L:
-        raise ValueError("window length L is smaller than a diagram width")
-    row = columns + (charge,) * (L - len(columns))
-    return tuple([1 - (y + j) % 2 for j, y in enumerate(row)])
+    diagrams' parity rows (module docstring)."""
+    return tuple(map(sum, zip(*[Y.parity_row(L) for Y in T.diagrams])))
 
 
 def _max_column(caps, m: int, parity: int, k: int):

@@ -23,13 +23,16 @@ before the operation, so a digit never overflows.  A product of two rows
 is then one int multiply, a sum is a shift and an add, a q-shift moves
 lo, and exact division is one divmod (``exact_div`` states why its
 quotient is exact).  Terms are decoded only at the boundary: text, JSON,
-term queries and hashing.  Coefficients are Python ints, so all
-arithmetic is exact at any size.
+term queries and hashing.  ``_join`` packs a row's digits and ``_unpack``
+reads them back, as native machine words at B = 32 and 64 and byte by
+byte at wider B.  Coefficients are Python ints, so all arithmetic is
+exact at any size.
 """
 from __future__ import annotations
 
 import re
 import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -105,10 +108,16 @@ def _unpack(p: int, bits: int) -> list[int]:
 
 
 def _join(digits, bits: int) -> int:
-    """The int whose signed base-2^bits digits are ``digits``, lowest first."""
-    w = bits // 8
+    """The int whose signed base-2^bits digits are ``digits``, lowest first.
+
+    The inverse of ``_unpack``: each digit plus 2^(bits-1) is written as one
+    machine word when the width has a native word type, else byte by byte."""
     half = 1 << (bits - 1)
-    data = b"".join((d + half).to_bytes(w, "little") for d in digits)
+    if bits in _WORD_CODES:
+        data = array(_WORD_CODES[bits], [d + half for d in digits]).tobytes()
+    else:
+        w = bits // 8
+        data = b"".join((d + half).to_bytes(w, "little") for d in digits)
     return int.from_bytes(data, "little") - half * _ones(len(digits), bits)
 
 

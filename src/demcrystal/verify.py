@@ -17,7 +17,7 @@ from .demazure import (
     extremal_vector,
     generate_crystal,
 )
-from .eyd import EYDTuple, e_tilde, f_tilde
+from .eyd import EYDTuple, e_tilde, f_and_e_tilde, f_tilde
 from .paths import ground_state_H_sum, ground_state_H_sum_direct
 from .qlaurent import ZERO, verify_gaussian_lemma
 from .weights import ALPHA, Weight, apply_word, weyl_word_minus, weyl_word_plus
@@ -103,13 +103,14 @@ def path_character(max_k: int, max_L: int):
 def _vertex_ok(T: EYDTuple, s: int) -> bool:
     """At one vertex of B_L(s Lambda_0 + t Lambda_1): off the vacuum, Y_1 and
     Y_{s+1} differ in width when s, t >= 1; no f_i grows a width by more
-    than 1; e_i f_i T = T with the weight lowered by alpha_i; f_i e_i T = T."""
+    than 1; e_i f_i T = T with the weight lowered by alpha_i; f_i e_i T = T.
+    f_i T and e_i T come from one reduced i-signature."""
     w = T.widths()
     if 0 < s < len(w) and w[0] == w[s] and any(w):
         return False
     wt = T.weight()
     for i in (0, 1):
-        U, V = f_tilde(i, T), e_tilde(i, T)
+        U, V = f_and_e_tilde(i, T)
         if U is not None and (e_tilde(i, U) != T or U.weight() != wt - ALPHA[i]
                               or any(a > b + 1 for a, b in zip(U.widths(), w))):
             return False

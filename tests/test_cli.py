@@ -300,6 +300,16 @@ def test_no_argparse_gettext_or_locale():
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_no_dataclasses_or_inspect():
+    """The CLI's modules are plain ``__slots__`` classes: importing it loads
+    neither ``dataclasses`` nor the ``inspect`` module it pulls in."""
+    code = ("import sys; before = set(sys.modules); from demcrystal import cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(), check=True)
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 def test_entry_point():
     """``main()`` reads ``sys.argv``, as the ``demcrystal`` script calls it."""
     def cli_(*argv):
@@ -402,9 +412,11 @@ def test_vertex_check_refuses_equal_widths():
 def test_verify_vertex_failure_path(broken, monkeypatch, capsys):
     # e_i f_i T = T fails when e_i forgets every vertex; f_i e_i T = T fails
     # when e_i returns T wherever it should return None
-    real = verify.e_tilde
+    real, real_pair = verify.e_tilde, verify.f_and_e_tilde
     wrong = (lambda i, T: None) if broken == "e_f" else (lambda i, T: real(i, T) or T)
     monkeypatch.setattr(verify, "e_tilde", wrong)
+    # f_i T and e_i T are read off one signature: break its e half the same way
+    monkeypatch.setattr(verify, "f_and_e_tilde", lambda i, T: (real_pair(i, T)[0], wrong(i, T)))
     code, out = run(["verify", "--suite", "demazure-crystal", "--max-k", "1", "--max-L", "1"],
                     capsys)
     assert code == 1

@@ -1,3 +1,6 @@
+import pickle
+from collections import Counter
+
 import pytest
 
 from demcrystal import eyd
@@ -14,6 +17,7 @@ from demcrystal.eyd import (
     phi_i,
     reduce_signature,
 )
+from demcrystal.paths import pi
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import ALPHA0, ALPHA1, LAMBDA1, Weight
 
@@ -226,20 +230,86 @@ def test_one_column_check_raises_like_the_full_check():
         assert str(moved.value) == str(full.value) == message
 
 
-def test_kernel_caches_hold_tuples_and_change_no_result():
+def test_neighbour_check_raises_like_the_full_check():
+    # every single-box add and remove on every diagram of every vertex of
+    # B_4(Lambda), level <= 3, in every column up to width + 1 that leaves a
+    # diagram: the neighbour-only check raises exactly when the full check
+    # does, with its message, and otherwise builds the same tuple
+    messages = Counter()
+    for lam in weights_up_to(3):
+        for T in generate_crystal(lam, 4).vertices:
+            for index, D in enumerate(T.diagrams):
+                for column in range(D.width + 2):
+                    for move in (D.add_box, D.remove_box):
+                        try:
+                            Y = move(column)
+                        except ValueError:
+                            continue  # no diagram, so no tuple to check
+                        full = moved = None
+                        try:
+                            built = with_diagram(T, index, Y)
+                        except ValueError as exc:
+                            full = str(exc)
+                        try:
+                            U = T._with_move(index, Y, column)
+                        except ValueError as exc:
+                            moved = str(exc)
+                        where = (T.key(), index, column, move.__name__)
+                        assert moved == full, where
+                        if full is None:
+                            assert U == built and hash(U) == hash(built), where
+                        messages[full] += 1
+    # the grid reaches both refusals, from both ends of the tuple
+    assert set(messages) == {
+        None,
+        "inclusion rule violated between consecutive diagrams",
+        "inclusion rule violated against the shifted first diagram",
+    }
+
+
+def test_values_are_frozen_and_compare_within_their_class():
+    Y = ExtendedYoungDiagram(0, ())
+    T = EYDTuple((Y,))
+    G = generate_crystal(Weight(1, 0, 0), 1)
+    assert Y != (0, ()) and (0, ()) != Y and T != (Y,) and G != (G.vertices, G.edges)
+    assert Y == ExtendedYoungDiagram.make(0, [0, 0]) and hash(T) == hash(EYDTuple((Y,)))
+    for value, name in ((Y, "charge"), (Y, "_entries"), (T, "diagrams"), (T, "_hash"), (G, "edges")):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    # no instance dict, so a memo has nowhere to go but a declared slot
+    assert not any(hasattr(v, "__dict__") for v in (Y, T, G))
+    # equal diagrams are one object, and pickling keeps them so
+    assert ExtendedYoungDiagram.make(1, (-1, 1)) is ExtendedYoungDiagram(1, (-1,))
+    copied = pickle.loads(pickle.dumps(T))
+    assert copied == T and copied.diagrams[0] is Y
+    assert pickle.loads(pickle.dumps(G)) == G
+
+
+def test_kernel_caches_hold_tuples_and_change_no_result(monkeypatch):
+    # the kernel's memos live on the diagrams: per position the signature
+    # entries, per column the moved diagrams, per window the parity rows
     lam = Weight(2, 2, 0)
     warm = generate_crystal(lam, 5)
     for T in warm.vertices:
+        pi(T, 5)
         for pos, Y in enumerate(T.diagrams):
-            per_color = eyd._corner_entries(pos, Y.charge, Y.columns)
+            per_color = Y.signature_entries(pos)
             assert type(per_color) is tuple and len(per_color) == 2
             assert all(type(side) is tuple and all(type(e) is tuple for e in side) for side in per_color)
+            for memo in (Y._entries, Y._rows):
+                assert memo and all(type(v) is tuple for v in memo.values())
+            for memo in (Y._added, Y._removed):
+                assert all(type(v) is ExtendedYoungDiagram for v in memo.values())
     # hashes spread: keys of B_5 hash to far fewer values (-1 and -2 hash alike)
     assert len({hash(T) for T in warm.vertices}) == len(warm.vertices)
-    eyd._corner_entries.cache_clear()
-    eyd._box_move.cache_clear()
+    # an empty intern table makes every diagram afresh, with empty memos
+    monkeypatch.setattr(eyd, "_DIAGRAMS", {})
     cold = generate_crystal(lam, 5)
-    assert eyd._corner_entries.cache_info().currsize > 0
+    old = {id(Y) for T in warm.vertices for Y in T.diagrams}
+    assert not old & {id(Y) for T in cold.vertices for Y in T.diagrams}
+    assert any(Y._entries for T in cold.vertices for Y in T.diagrams)
     assert {T.key() for T in cold.vertices} == {T.key() for T in warm.vertices}
     assert {(a.key(), i, b.key()) for a, i, b in cold.edges} == {
         (a.key(), i, b.key()) for a, i, b in warm.edges

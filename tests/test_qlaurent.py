@@ -288,3 +288,23 @@ def test_packed_digits_round_trip():
             assert _join(digits, bits) == p
             assert all(-half <= d < half for d in digits)
         assert _unpack(_join(edge, bits), bits)[:6] == edge
+
+
+def test_join_matches_the_per_digit_reference():
+    # the word-packed widths write the same int the byte-by-byte packing did
+    from demcrystal.qlaurent import _join
+
+    def reference(digits, bits):
+        half = 1 << (bits - 1)
+        data = b"".join((d + half).to_bytes(bits // 8, "little") for d in digits)
+        return int.from_bytes(data, "little") - half * sum(1 << (bits * i) for i in range(len(digits)))
+
+    rng = random.Random(23)
+    for bits in (32, 64, 128):
+        half = 1 << (bits - 1)
+        extremes = [half - 1, -(half - 1), -half]
+        cases = [[], [0], extremes, extremes[::-1], [-half] * 4 + [half - 1]]
+        cases += [[rng.randrange(-half, half) for _ in range(rng.randrange(1, 12))] for _ in range(40)]
+        for digits in cases:
+            assert _join(digits, bits) == reference(digits, bits), (bits, digits)
+    assert _join([], 32) == _join([], 128) == 0

@@ -4,8 +4,9 @@ no true division ``/`` and no ``random`` import (every result and every
 verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 ``Fraction`` outside ``qlaurent._quarters``; no route to f^(k)_L or to
 the fermionic F-sum built on another of them, and no Demazure character
-route built on another; no memo on any cross-checked character route; and
-no memo on a crystal operator or crystal generator."""
+route built on another; no memo on any cross-checked character route,
+crystal operator, crystal generator or path weight; and no room for one
+on a diagram tuple."""
 import ast
 from pathlib import Path
 
@@ -169,14 +170,16 @@ def test_route_rule_catches_the_pattern():
 # A4 the Demazure triangle.  f_recursive is memoized by definition (its
 # recursion reads its own earlier values) and is exempt.
 # The crystal operators and generators are cross-checked routes too: the
-# EYD kernel and pi may cache per-diagram geometry, never a tuple or a crystal.
-# The Demazure-operator oracle checks both, and recomputes every call too.
+# EYD kernel and pi may memoize per-diagram geometry on the diagram, never a
+# tuple or a crystal, and the brute-force characters read each path's
+# energy and weight afresh.  The Demazure-operator oracle checks both, and
+# recomputes every call too.
 UNMEMOIZED_ROUTES = (
     "f_bosonic", "f_fermionic", "F_fermionic", "f_rank_reduction",
     "ch_via_f", "ch_path_bruteforce",
     "demazure_ch", "demazure_ch_bruteforce", "demazure_ch_oracle",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
-    "pi",
+    "epsilon_i", "pi", "energy", "path_weight",
     "demazure_operator", "demazure_character_oracle",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
@@ -223,6 +226,9 @@ def test_memo_rule_catches_the_pattern():
         "demazure_character_oracle = lru_cache(None)(demazure_character_oracle)\n"
         "@lru_cache(maxsize=None)\ndef demazure_ch(lam, sign, L):\n    pass\n"
         "ch_via_f = cache(ch_via_f)\n"
+        "@lru_cache(maxsize=None)\ndef energy(p, lam):\n    pass\n"
+        "path_weight = cache(path_weight)\n"
+        "@functools.lru_cache\ndef epsilon_i(T, i):\n    pass\n"
     )
     assert sorted(memoized_routes(ast.parse(source))) == [
         (3, "f_bosonic is memoized"),
@@ -234,4 +240,43 @@ def test_memo_rule_catches_the_pattern():
         (27, "demazure_character_oracle is rebound"),
         (28, "demazure_ch is memoized"),
         (31, "ch_via_f is rebound"),
+        (32, "energy is memoized"),
+        (35, "path_weight is rebound"),
+        (36, "epsilon_i is memoized"),
     ]
+
+
+# A memo on an EYDTuple would hold a tuple-level result; the only storage
+# an instance has is its diagrams and its hash.
+TUPLE_STORAGE = ["_hash", "diagrams"]
+
+
+def instance_storage(cls):
+    """The names an instance of cls can store: the slots along its MRO,
+    plus "__dict__" for each class there that declares no __slots__."""
+    names = []
+    for klass in cls.__mro__[:-1]:  # object's instances store nothing
+        slots = klass.__dict__.get("__slots__", ("__dict__",))
+        names += [slots] if isinstance(slots, str) else list(slots)
+    return sorted(names)
+
+
+def test_tuples_have_no_room_for_a_memo():
+    from demcrystal.eyd import EYDTuple
+
+    assert instance_storage(EYDTuple) == TUPLE_STORAGE
+
+
+def test_storage_rule_catches_the_pattern():
+    class Slotted:
+        __slots__ = ("diagrams", "_hash")
+
+    class Memo(Slotted):
+        __slots__ = "_weight"
+
+    class Plain(Slotted):
+        pass
+
+    assert instance_storage(Slotted) == TUPLE_STORAGE
+    assert instance_storage(Memo) == ["_hash", "_weight", "diagrams"]
+    assert instance_storage(Plain) == ["__dict__", "_hash", "diagrams"]
