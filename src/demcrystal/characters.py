@@ -36,8 +36,7 @@ from .weights import (
     demazure_character_oracle,
     require_dominant,
     specialize,
-    weyl_word_minus,
-    weyl_word_plus,
+    weyl_word,
 )
 
 
@@ -308,10 +307,7 @@ def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomia
 
 def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     """Specialized Demazure-operator character for the word w^{+/-}_L."""
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    word = weyl_word_plus(L) if sign == "+" else weyl_word_minus(L)
-    return specialize(demazure_character_oracle(lam, word), lam)
+    return specialize(demazure_character_oracle(lam, weyl_word(sign, L)), lam)
 
 
 # -- specializations -----------------------------------------------------------------------

@@ -20,17 +20,16 @@ Each operator step costs about one diagram's worth of work, not k:
   lazily and are unbounded: B_L(Lambda) has (k+1)^L vertices but far
   fewer distinct diagrams of width <= L.  No tuple-level or crystal-level
   result is cached, and an ``EYDTuple`` has no slot to hold one.
-- A box move changes the depth of column j of diagram p and nothing
-  else, and the tuple it acts on was valid.  The inclusion rule is a
-  condition on each column by itself (nondecreasing down the tuple,
-  last <= first + 2), the other columns keep their depths and the
-  charges are unchanged, so only column j can break, and only where its
-  moved entry takes part: the comparisons with its neighbours p - 1 and
-  p + 1, and the wrap last <= first + 2 when p is the first or the last
-  diagram.  ``_with_move`` checks those, in O(1), and raises what the
-  full check would: the full check reads a column's order before its
-  wrap.  ``EYDTuple(...)`` still checks every column, for every other
-  caller.
+- A box move changes one entry v = y_j, column j of diagram p, by one,
+  and the tuple it acts on was valid.  The inclusion rule is a set of
+  inequalities within each column (nondecreasing down the tuple, last <=
+  first + 2), so only those holding v can break.  Adding a box lowers v:
+  it can only drop below the entry above it (diagram p - 1), or below
+  last - 2 when p is the first diagram.  Removing a box raises v: it can
+  only pass the entry below it (diagram p + 1), or first + 2 when p is
+  the last diagram.  So ``_move`` makes one comparison, and only one
+  message can apply.  ``EYDTuple(...)`` still checks every column, for
+  every other caller.
 - A diagram computes its hash once, from its negated depths, and an
   ``EYDTuple`` once, from its diagrams' hashes.  The canonical ``key()``
   is no hash: CPython hashes -1 and -2 alike, and hashing the keys gave
@@ -280,7 +279,10 @@ class EYDTuple(Frozen):
             raise ValueError("tuple must contain at least one diagram")
         maxw = max(len(Y.columns) for Y in self.diagrams)
         for col in zip(*(Y.row(maxw + 1) for Y in self.diagrams)):
-            _check_inclusion(list(col))
+            if list(col) != sorted(col):
+                raise ValueError(_CONSECUTIVE)
+            if col[-1] > col[0] + 2:
+                raise ValueError(_SHIFTED)
         _set_hash(self, hash(self.diagrams))
 
     def __eq__(self, other):
@@ -291,31 +293,31 @@ class EYDTuple(Frozen):
     def __hash__(self) -> int:
         return self._hash
 
-    def _with_move(self, index: int, Y: ExtendedYoungDiagram, column: int) -> "EYDTuple":
-        """This tuple with diagram ``index`` set to ``Y``, one box move away
-        from it in ``column``; only the moved entry's neighbours and the
-        wrap are checked (module docstring)."""
+    def _move(self, index: int, column: int, step: int) -> "EYDTuple":
+        """This tuple with one box moved in ``column`` of diagram ``index``:
+        step -1 adds it and +1 removes it.  Only the one inequality the move
+        can break is checked (module docstring)."""
         ds = self.diagrams
-        last = len(ds) - 1
-        v = Y.columns[column] if column < len(Y.columns) else Y.charge
-        if index:
-            D = ds[index - 1]
-            if (D.columns[column] if column < len(D.columns) else D.charge) > v:
-                raise ValueError(_CONSECUTIVE)
-        if index < last:
-            D = ds[index + 1]
-            if v > (D.columns[column] if column < len(D.columns) else D.charge):
-                raise ValueError(_CONSECUTIVE)
-        if index == 0 or index == last:
-            D = ds[0]
-            first = v if index == 0 else (D.columns[column] if column < len(D.columns) else D.charge)
-            D = ds[last]
-            final = v if index == last else (D.columns[column] if column < len(D.columns) else D.charge)
-            if final > first + 2:
-                raise ValueError(_SHIFTED)
-        ds = list(ds)
-        ds[index] = Y
-        ds = tuple(ds)
+        # the rule it can break reads upper <= lower + shift in this column
+        if step < 0:
+            lower = Y = ds[index].add_box(column)
+            if index:
+                upper, shift, message = ds[index - 1], 0, _CONSECUTIVE
+            else:
+                upper, shift, message = ds[-1], 2, _SHIFTED
+        else:
+            upper = Y = ds[index].remove_box(column)
+            if index < len(ds) - 1:
+                lower, shift, message = ds[index + 1], 0, _CONSECUTIVE
+            else:
+                lower, shift, message = ds[0], 2, _SHIFTED
+        # (a lone diagram meets its old self in the wrap, one apart, and passes)
+        a, b = upper.columns, lower.columns
+        above = a[column] if column < len(a) else upper.charge
+        below = b[column] if column < len(b) else lower.charge
+        if above > below + shift:
+            raise ValueError(message)
+        ds = ds[:index] + (Y,) + ds[index + 1:]
         out = object.__new__(EYDTuple)
         _set_diagrams(out, ds)
         _set_hash(out, hash(ds))
@@ -358,14 +360,6 @@ class EYDTuple(Frozen):
 # the slots' own setters, which Frozen.__setattr__ does not guard
 _set_diagrams = EYDTuple.diagrams.__set__
 _set_hash = EYDTuple._hash.__set__
-
-
-def _check_inclusion(col: list[int]) -> None:
-    """The inclusion rule on one column: its depths y_j, in tuple order."""
-    if col != sorted(col):
-        raise ValueError(_CONSECUTIVE)
-    if col[-1] > col[0] + 2:
-        raise ValueError(_SHIFTED)
 
 
 def i_signature(T: EYDTuple, i: int) -> list[SignatureEntry]:
@@ -431,37 +425,16 @@ def _unmatched(T: EYDTuple, i: int):
     return ones, zeros
 
 
-def _add(T: EYDTuple, zeros):
-    """The box added at the leftmost unmatched concave entry, or None."""
-    if not zeros:
-        return None
-    _, pos, _, column = zeros[0]
-    return T._with_move(pos, T.diagrams[pos].add_box(column), column)
-
-
-def _remove(T: EYDTuple, ones):
-    """The box removed at the rightmost unmatched convex entry, or None."""
-    if not ones:
-        return None
-    _, pos, _, column = ones[-1]
-    return T._with_move(pos, T.diagrams[pos].remove_box(column), column)
-
-
 def f_tilde(i: int, T: EYDTuple):
     """Add one i-colored box at the leftmost relevant concave corner, or None."""
-    return _add(T, _unmatched(T, i)[1])
+    zeros = _unmatched(T, i)[1]
+    return T._move(zeros[0][1], zeros[0][3], -1) if zeros else None
 
 
 def e_tilde(i: int, T: EYDTuple):
     """Remove one i-colored box at the rightmost relevant convex corner, or None."""
-    return _remove(T, _unmatched(T, i)[0])
-
-
-def f_and_e_tilde(i: int, T: EYDTuple):
-    """``(f_tilde(i, T), e_tilde(i, T))``, both read off one reduced
-    i-signature."""
-    ones, zeros = _unmatched(T, i)
-    return _add(T, zeros), _remove(T, ones)
+    ones = _unmatched(T, i)[0]
+    return T._move(ones[-1][1], ones[-1][3], 1) if ones else None
 
 
 def epsilon_i(T: EYDTuple, i: int) -> int:

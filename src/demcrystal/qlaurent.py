@@ -150,7 +150,6 @@ def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
     res._rows = rows
     res._norm = norm
     res._bits = bits
-    res._hash = None
     return res
 
 
@@ -161,7 +160,7 @@ class BivariatePolynomial:
     docstring); equality and hashing do not depend on the digit width.
     """
 
-    __slots__ = ("_rows", "_norm", "_bits", "_hash")
+    __slots__ = ("_rows", "_norm", "_bits")
 
     def __init__(self, terms=None):
         """The polynomial with terms {(z-exponent, 4 * q-exponent): coefficient},
@@ -179,7 +178,7 @@ class BivariatePolynomial:
         for z, row in by_z.items():
             lo = min(row)
             rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
-        self._rows, self._norm, self._bits, self._hash = rows, norm, bits, None
+        self._rows, self._norm, self._bits = rows, norm, bits
 
     def _at(self, bits: int) -> dict:
         """The rows re-packed at a digit width bits >= self._bits."""
@@ -217,9 +216,7 @@ class BivariatePolynomial:
         return self._at(bits) == other._at(bits)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"BivariatePolynomial({self.to_text()})"
@@ -272,6 +269,8 @@ class BivariatePolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "BivariatePolynomial":
+        if type(n) is not int:  # a bool or a float equals an int but is no exponent
+            raise TypeError(f"exponent {n!r} is not an int")
         if n < 0:
             raise ValueError("negative powers are not defined in this ring")
         out = ONE

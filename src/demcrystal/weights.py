@@ -10,6 +10,7 @@ O(|chi| log |chi| + |D_i chi|) int operations.
 """
 from __future__ import annotations
 
+from functools import partial
 from typing import NamedTuple
 
 from .qlaurent import BivariatePolynomial
@@ -84,18 +85,18 @@ def is_reduced(word) -> bool:
     )
 
 
-def weyl_word_plus(L: int):
-    """w^+_L: the length-L alternating word ending in r_0."""
+def weyl_word(sign: str, L: int):
+    """w^+_L or w^-_L: the length-L alternating word ending in r_0 or r_1."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
     if L < 0:
         raise ValueError("requires L >= 0")
-    return tuple((L - 1 - j) % 2 for j in range(L))
+    last = 0 if sign == "+" else 1
+    return tuple((last + L - 1 - j) % 2 for j in range(L))
 
 
-def weyl_word_minus(L: int):
-    """w^-_L: the length-L alternating word ending in r_1."""
-    if L < 0:
-        raise ValueError("requires L >= 0")
-    return tuple((L - j) % 2 for j in range(L))
+# perfbench's own test still imports the two words by these names
+weyl_word_plus, weyl_word_minus = partial(weyl_word, "+"), partial(weyl_word, "-")
 
 
 def parse_weyl_word(text: str):
@@ -106,7 +107,7 @@ def parse_weyl_word(text: str):
         if not (digits.isascii() and digits.isdigit()):
             raise ValueError(f"cannot parse Weyl word {text!r}")
         L = int(digits)
-        return weyl_word_plus(L) if text[1] == "+" else weyl_word_minus(L)
+        return weyl_word(text[1], L)
     if not text:
         return ()
     letters = []

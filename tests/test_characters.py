@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import run_engine
 
 from demcrystal import characters, verify
 from demcrystal.characters import (
@@ -120,18 +121,11 @@ def test_intermediate_single_sum(k, L):
         assert got == f_recursive(k, L, b, c)
 
 
-@pytest.mark.parametrize("L", [1, 2, 3])
-def test_fermionic_F_sum(L):
-    # the F-sum against the path brute force on every weight of level <= 5,
-    # beside A3's level <= 3 grid
-    weights = list(verify.weights_up_to(5))
-    assert len(weights) == 20
-    for lam in weights:
-        k = lam.level
-        total = ZERO
-        for j in range(-L * k - 1, L * k + 2):
-            total = total + F_fermionic(lam, L, j).z_shift(-j)
-        assert total == ch_path_bruteforce(lam, L), lam
+def test_fermionic_F_sum():
+    # the F-sum and the three f routes against the path brute force on every
+    # weight of level <= 5 and L <= 3, beside A3's level <= 3 grid
+    ok, first_bad = run_engine({"path-character": 60}, verify.path_character(5, 3))
+    assert ok, first_bad
 
 
 def test_fermionic_F_vanishes_outside_support():

@@ -28,7 +28,7 @@ from demcrystal.demazure import (
 from demcrystal.eyd import EYDTuple, ExtendedYoungDiagram
 from demcrystal.qlaurent import ZERO
 from demcrystal.verify import weights_up_to
-from demcrystal.weights import Weight, weyl_word_minus, weyl_word_plus
+from demcrystal.weights import Weight, weyl_word
 
 SUITES = (
     "boson-fermion",
@@ -127,8 +127,8 @@ def test_word_graph_is_the_recursive_subgraph(lam, capsys):
     # graph is B_L's restricted to the string recursion's set
     w = ["--s", str(lam.a0), "--t", str(lam.a1)]
     for L in range(1, 6):
-        for sign, word in (("+", weyl_word_plus(L)), ("-", weyl_word_minus(L))):
-            G = subgraph(generate_crystal(lam, L), demazure_crystal_recursive(lam, word))
+        for sign in "+-":
+            G = subgraph(generate_crystal(lam, L), demazure_crystal_recursive(lam, weyl_word(sign, L)))
             code, out = run(["crystal", *w, "--word", f"w{sign}{L}", "--format", "json"], capsys)
             assert (code, out) == (0, export_graph(G, "json")), (sign, L)
 
@@ -412,11 +412,9 @@ def test_vertex_check_refuses_equal_widths():
 def test_verify_vertex_failure_path(broken, monkeypatch, capsys):
     # e_i f_i T = T fails when e_i forgets every vertex; f_i e_i T = T fails
     # when e_i returns T wherever it should return None
-    real, real_pair = verify.e_tilde, verify.f_and_e_tilde
+    real = verify.e_tilde
     wrong = (lambda i, T: None) if broken == "e_f" else (lambda i, T: real(i, T) or T)
     monkeypatch.setattr(verify, "e_tilde", wrong)
-    # f_i T and e_i T are read off one signature: break its e half the same way
-    monkeypatch.setattr(verify, "f_and_e_tilde", lambda i, T: (real_pair(i, T)[0], wrong(i, T)))
     code, out = run(["verify", "--suite", "demazure-crystal", "--max-k", "1", "--max-L", "1"],
                     capsys)
     assert code == 1

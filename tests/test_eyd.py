@@ -222,25 +222,24 @@ def test_one_column_check_raises_like_the_full_check():
         (EYDTuple((Y0, Y1)), 0, 0, "inclusion rule violated against the shifted first diagram"),
     ]
     for T, index, column, message in moves:
-        Y = T.diagrams[index].add_box(column)
         with pytest.raises(ValueError) as full:
-            with_diagram(T, index, Y)
+            with_diagram(T, index, T.diagrams[index].add_box(column))
         with pytest.raises(ValueError) as moved:
-            T._with_move(index, Y, column)
+            T._move(index, column, -1)
         assert str(moved.value) == str(full.value) == message
 
 
 def test_neighbour_check_raises_like_the_full_check():
     # every single-box add and remove on every diagram of every vertex of
     # B_4(Lambda), level <= 3, in every column up to width + 1 that leaves a
-    # diagram: the neighbour-only check raises exactly when the full check
+    # diagram: the one-inequality check raises exactly when the full check
     # does, with its message, and otherwise builds the same tuple
     messages = Counter()
     for lam in weights_up_to(3):
         for T in generate_crystal(lam, 4).vertices:
             for index, D in enumerate(T.diagrams):
                 for column in range(D.width + 2):
-                    for move in (D.add_box, D.remove_box):
+                    for move, step in ((D.add_box, -1), (D.remove_box, 1)):
                         try:
                             Y = move(column)
                         except ValueError:
@@ -251,7 +250,7 @@ def test_neighbour_check_raises_like_the_full_check():
                         except ValueError as exc:
                             full = str(exc)
                         try:
-                            U = T._with_move(index, Y, column)
+                            U = T._move(index, column, step)
                         except ValueError as exc:
                             moved = str(exc)
                         where = (T.key(), index, column, move.__name__)

@@ -79,9 +79,12 @@ def test_only_exact_exponents_and_operands():
         with pytest.raises(ValueError):
             BivariatePolynomial.from_json_obj([{"ze": 0, "qe": bad, "c": "1"}])
     # (1 + z).z_shift(0.5) was z^0.5 + z^1.5, and z_shift(True) was z_shift(1)
+    # (1 + z) ** True was 1 + z, and ** 2.0 died in an internal &
     for bad in (0.5, 1.0, True, None, Fraction(1)):
         with pytest.raises(TypeError):
             (ONE + zpow(1)).z_shift(bad)
+        with pytest.raises(TypeError, match="exponent"):
+            (ONE + zpow(1)) ** bad
     # a bool or a float compares equal to an int: ONE + True was 2, ONE ==
     # True held, and a float coefficient died in _width with a >> message
     for op in (operator.add, operator.sub, operator.mul):

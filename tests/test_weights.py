@@ -20,8 +20,7 @@ from demcrystal.weights import (
     parse_weyl_word,
     reflect,
     specialize,
-    weyl_word_minus,
-    weyl_word_plus,
+    weyl_word,
 )
 
 
@@ -63,23 +62,27 @@ def test_level_invariance():
 
 
 def test_weyl_words():
-    assert weyl_word_plus(1) == (0,)
-    assert weyl_word_plus(2) == (1, 0)
-    assert weyl_word_plus(3) == (0, 1, 0)
-    assert weyl_word_minus(1) == (1,)
-    assert weyl_word_minus(2) == (0, 1)
-    assert is_reduced(weyl_word_plus(5))
+    assert weyl_word("+", 1) == (0,)
+    assert weyl_word("+", 2) == (1, 0)
+    assert weyl_word("+", 3) == (0, 1, 0)
+    assert weyl_word("-", 1) == (1,)
+    assert weyl_word("-", 2) == (0, 1)
+    assert is_reduced(weyl_word("+", 5))
     assert not is_reduced((0, 0))
-    assert weyl_word_plus(0) == weyl_word_minus(0) == ()
-    for word in (weyl_word_plus, weyl_word_minus):
-        with pytest.raises(ValueError):
-            word(-1)
+    assert weyl_word("+", 0) == weyl_word("-", 0) == ()
+    for sign in "+-":
+        with pytest.raises(ValueError, match="requires L >= 0"):
+            weyl_word(sign, -1)
+    # the sign is read before L
+    for sign in ("", "+-", "0", None):
+        with pytest.raises(ValueError, match="sign must be"):
+            weyl_word(sign, -1)
 
 
 def test_parse_weyl_word():
     assert parse_weyl_word("r1r0") == (1, 0)
-    assert parse_weyl_word("w+3") == weyl_word_plus(3)
-    assert parse_weyl_word("w-2") == weyl_word_minus(2)
+    assert parse_weyl_word("w+3") == weyl_word("+", 3)
+    assert parse_weyl_word("w-2") == weyl_word("-", 2)
     with pytest.raises(ValueError):
         parse_weyl_word("r2")
     with pytest.raises(ValueError):
@@ -192,7 +195,7 @@ def test_demazure_operator_rejects_bad_index():
 
 def test_oracle_matches_reference_fold():
     for lam in (Weight(1, 0, 0), Weight(0, 1, 0), Weight(2, 1, 0), Weight(1, 3, 0)):
-        for word in (weyl_word_plus(5), weyl_word_minus(5)):
+        for word in (weyl_word("+", 5), weyl_word("-", 5)):
             chi = {lam: 1}
             for i in reversed(word):
                 chi = reference_demazure_operator(i, chi)
@@ -220,7 +223,7 @@ def test_oracle_anchor_dimension():
 
 def test_oracle_positive_support():
     for lam in (Weight(1, 0, 0), Weight(1, 1, 0), Weight(2, 1, 0)):
-        for word in (weyl_word_plus(3), weyl_word_minus(3)):
+        for word in (weyl_word("+", 3), weyl_word("-", 3)):
             chi = demazure_character_oracle(lam, word)
             assert all(c >= 1 for c in chi.values())
 
@@ -228,8 +231,8 @@ def test_oracle_positive_support():
 def test_oracle_support_monotone():
     lam = Weight(2, 1, 0)
     for L in (1, 2, 3):
-        lo = demazure_character_oracle(lam, weyl_word_plus(L))
-        hi = demazure_character_oracle(lam, weyl_word_plus(L + 1))
+        lo = demazure_character_oracle(lam, weyl_word("+", L))
+        hi = demazure_character_oracle(lam, weyl_word("+", L + 1))
         assert set(lo) <= set(hi)
 
 
