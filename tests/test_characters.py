@@ -121,10 +121,12 @@ def test_intermediate_single_sum(k, L):
         assert got == f_recursive(k, L, b, c)
 
 
-def test_fermionic_F_sum():
+@pytest.mark.parametrize("L", [1, 2, 3])
+def test_fermionic_F_sum(L):
     # the F-sum and the three f routes against the path brute force on every
-    # weight of level <= 5 and L <= 3, beside A3's level <= 3 grid
-    ok, first_bad = run_engine({"path-character": 60}, verify.path_character(5, 3))
+    # weight of level <= 5, beside A3's level <= 3 grid
+    checks = (c for c in verify.path_character(5, L) if c.label.endswith(f" L={L}"))
+    ok, first_bad = run_engine({"path-character": 20}, checks)
     assert ok, first_bad
 
 
