@@ -11,18 +11,30 @@ divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
 fractions.
 
 Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
-z-power a are stored as one pair ``(lo, p)``: lo is the lowest quarter
-exponent e and p = sum of c_e * 2^(B*(e - lo)), the row evaluated at
-q^(1/4) = 2^B.  The digits c_e are signed: every |c_e| < 2^(B-1), so p
-determines them, and the digit at lo is non-zero, so equal rows are
-equal pairs.  Each polynomial tracks a bound N on the sum of |c| over
-all its terms, and its digit width B is the smallest of 32, 64, 128, ...
-with N < 2^(B-1).  Sums and products carry the bound along (N1 + N2 and
-N1 * N2); when that needs a wider B, the operands are re-packed wider
-before the operation, so a digit never overflows.  A product of two rows
-is then one int multiply, a sum is a shift and an add, a q-shift moves
-lo, and exact division is one divmod (``exact_div`` states why its
-quotient is exact).  Terms are decoded only at the boundary: text, JSON,
+z-power a are stored as one triple ``(lo, g, p)``: lo is the lowest
+quarter exponent e, g in {1, 2, 4} is the row's quarter step, every term
+sits at some e = lo + g*i, and p = sum of c_(lo+g*i) * 2^(B*i), the row
+evaluated at q^(g/4) = 2^B and divided by q^(lo/4).  The digits are
+signed: every |c| < 2^(B-1), so p determines them, and the digit at lo is
+non-zero.  The gaussians, q-Pochhammers and multinomials have only
+integer exponents, so their rows take g = 4 and carry no zero digits
+between terms.  The constructor gives each row the largest g that divides
+4 and every gap between its exponents.  A shift or a negation keeps g; a
+product takes gcd(g1, g2), and a sum gcd(g1, g2, lo1 - lo2), spreading an
+operand to that finer step first only when the steps or the residues of
+lo differ.  A sum can cancel down to a coarser step than it carries, so g
+is not canonical: equality compares the decoded terms of rows that differ
+as packed triples, and hashing reads the decoded terms.  Each polynomial tracks a bound N on the
+sum of |c| over all its terms, and its digit width B is the smallest of
+32, 64, 128, ... with N < 2^(B-1).  Sums and products carry the bound
+along (N1 + N2 and N1 * N2); when that needs a wider B, the operands are
+re-packed wider before the operation, so a digit never overflows.  A
+product of two rows is then one int multiply, a sum is a shift and an
+add, a q-shift moves lo, and exact division is one divmod at the gcd of
+the two steps (``exact_div`` states why its quotient is exact).
+``_restride`` moves digit i of a row to bit P*i with strided byte copies;
+it both spreads a row to a finer step (P = B*g/h) and widens its digits
+(P = 2B, 4B, ...).  Terms are decoded only at the boundary: text, JSON,
 term queries and hashing.  ``_join`` packs a row's digits and ``_unpack``
 reads them back, as native machine words at B = 32 and 64 and byte by
 byte at wider B.  Coefficients are Python ints, so all arithmetic is
@@ -33,24 +45,32 @@ from __future__ import annotations
 import re
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
 
 def _quarters(value) -> int:
     """4 * value as an int; the single check on q-exponents entering the
-    ring: an int (not a bool), a Fraction or the str n/d that JSON carries."""
+    ring: an int (not a bool), a Fraction or the str n/d that JSON carries.
+    The str is split and reduced here, so importing the ring loads neither
+    ``fractions`` nor the ``decimal`` module it pulls in; a Fraction's
+    class is imported only once a value that is neither int nor str comes."""
     if type(value) is int:
         return 4 * value
-    if isinstance(value, str) and not _RATIO.fullmatch(value):
-        raise ValueError(f"q-exponent {value!r} is not written n/d with d > 0")
-    if not isinstance(value, (Fraction, str)):
-        raise TypeError(f"q-exponent {value!r} is not an int, a Fraction or a str")
-    f = Fraction(value)
-    if 4 % f.denominator:
-        raise ValueError(f"q-exponent {f} does not have denominator 1, 2 or 4")
-    return f.numerator * (4 // f.denominator)
+    if isinstance(value, str):
+        if not _RATIO.fullmatch(value):
+            raise ValueError(f"q-exponent {value!r} is not written n/d with d > 0")
+        num, den = map(int, value.split("/"))
+        common = gcd(num, den)
+        num, den = num // common, den // common
+    else:
+        from fractions import Fraction
+        if not isinstance(value, Fraction):
+            raise TypeError(f"q-exponent {value!r} is not an int, a Fraction or a str")
+        num, den = value.numerator, value.denominator
+    if 4 % den:
+        raise ValueError(f"q-exponent {num}/{den} does not have denominator 1, 2 or 4")
+    return num * (4 // den)
 
 
 # a coefficient and a q-exponent as to_json_obj writes them, in ASCII digits
@@ -121,16 +141,49 @@ def _join(digits, bits: int) -> int:
     return int.from_bytes(data, "little") - half * _ones(len(digits), bits)
 
 
-def _add_row(rows: dict, z: int, lo: int, p: int, bits: int) -> None:
-    """rows[z] += the packed row (lo, p); a row that cancels is dropped."""
+def _restride(p: int, bits: int, period: int) -> int:
+    """The int whose digit at bit period*i is the i-th signed base-2^bits
+    digit of p, with zero digits between (period a multiple of bits).
+
+    With period = bits * s this spreads a row to an s times finer step;
+    with period = 2 * bits, 4 * bits, ... it widens the digits.  As in
+    ``_unpack``, each digit plus 2^(bits-1) is read as w = bits/8 bytes;
+    byte j of every digit is copied at once by one strided slice, into a
+    zeroed buffer whose digits are period/8 bytes apart, and the offsets
+    are taken off again.  With period = bits, p is returned as it is."""
+    if period == bits:
+        return p
+    w = bits // 8
+    n = p.bit_length() // bits + 2
+    half = 1 << (bits - 1)
+    data = (p + half * _ones(n, bits)).to_bytes(n * w, "little")
+    stride = period // 8
+    out = bytearray(n * stride)
+    for j in range(w):
+        out[j::stride] = data[j::w]
+    return int.from_bytes(out, "little") - half * _ones(n, period)
+
+
+def _add_row(rows: dict, z: int, lo: int, g: int, p: int, bits: int) -> None:
+    """rows[z] += the packed row (lo, g, p); a row that cancels is dropped.
+
+    When the steps and the residues of lo agree, the rows add at their
+    step as they are; otherwise both are spread to gcd(g, g0, lo - lo0)."""
     old = rows.get(z)
     if old is None:
-        rows[z] = (lo, p)
+        rows[z] = (lo, g, p)
         return
-    lo0, p0 = old
+    lo0, g0, p0 = old
+    if g != g0 or (lo - lo0) % g:
+        h = gcd(g, g0, lo - lo0)
+        if g != h:
+            p = _restride(p, bits, bits * (g // h))
+        if g0 != h:
+            p0 = _restride(p0, bits, bits * (g0 // h))
+        g = h
     if lo < lo0:
         lo, p, lo0, p0 = lo0, p0, lo, p
-    s = p0 + (p << (bits * (lo - lo0)))
+    s = p0 + (p << (bits * ((lo - lo0) // g)))
     if not s:
         del rows[z]
         return
@@ -138,8 +191,8 @@ def _add_row(rows: dict, z: int, lo: int, p: int, bits: int) -> None:
         zeros = ((s & -s).bit_length() - 1) // bits
         if zeros:
             s >>= bits * zeros
-            lo0 += zeros
-    rows[z] = (lo0, s)
+            lo0 += zeros * g
+    rows[z] = (lo0, g, s)
 
 
 def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
@@ -157,7 +210,8 @@ class BivariatePolynomial:
     """Finite integer combination of z^a * q^r, a integer, r quarter-integer.
 
     Instances are immutable.  Rows are stored packed (see the module
-    docstring); equality and hashing do not depend on the digit width.
+    docstring); equality and hashing depend on neither the digit width
+    nor the step.
     """
 
     __slots__ = ("_rows", "_norm", "_bits")
@@ -177,14 +231,15 @@ class BivariatePolynomial:
         rows = {}
         for z, row in by_z.items():
             lo = min(row)
-            rows[z] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1)], bits))
+            g = gcd(4, *(e - lo for e in row))
+            rows[z] = (lo, g, _join([row.get(e, 0) for e in range(lo, max(row) + 1, g)], bits))
         self._rows, self._norm, self._bits = rows, norm, bits
 
     def _at(self, bits: int) -> dict:
         """The rows re-packed at a digit width bits >= self._bits."""
         if bits == self._bits:
             return self._rows
-        return {z: (lo, _join(_unpack(p, self._bits), bits)) for z, (lo, p) in self._rows.items()}
+        return {z: (lo, g, _restride(p, self._bits, bits)) for z, (lo, g, p) in self._rows.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -198,10 +253,10 @@ class BivariatePolynomial:
     def terms(self) -> dict:
         """The non-zero terms as {(z-exponent, 4 * q-exponent): coefficient}."""
         out = {}
-        for z, (lo, p) in self._rows.items():
+        for z, (lo, g, p) in self._rows.items():
             for i, c in enumerate(_unpack(p, self._bits)):
                 if c:
-                    out[(z, lo + i)] = c
+                    out[(z, lo + g * i)] = c
         return out
 
     def __bool__(self) -> bool:
@@ -212,8 +267,11 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        bits = max(self._bits, other._bits)
-        return self._at(bits) == other._at(bits)
+        if self._bits == other._bits and self._rows == other._rows:
+            return True
+        # rows that differ as packed triples may still be equal at another
+        # step or width, so those are compared term by term
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -235,14 +293,15 @@ class BivariatePolynomial:
         norm = self._norm + other._norm
         bits = _width(norm)
         out = dict(self._at(bits))
-        for z, (lo, p) in other._at(bits).items():
-            _add_row(out, z, lo, p, bits)
+        for z, (lo, g, p) in other._at(bits).items():
+            _add_row(out, z, lo, g, p, bits)
         return _poly(out, norm, bits)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePolynomial":
-        return _poly({z: (lo, -p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
+        rows = {z: (lo, g, -p) for z, (lo, g, p) in self._rows.items()}
+        return _poly(rows, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
         if type(other) is bool:  # -True is the int -1, which + would take
@@ -259,11 +318,18 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         norm = self._norm * other._norm
         bits = max(self._bits, other._bits, _width(norm))
-        out: dict[int, tuple[int, int]] = {}
+        out: dict[int, tuple[int, int, int]] = {}
         right = other._at(bits).items()
-        for z1, (lo1, p1) in self._at(bits).items():
-            for z2, (lo2, p2) in right:
-                _add_row(out, z1 + z2, lo1 + lo2, p1 * p2, bits)
+        for z1, (lo1, g1, p1) in self._at(bits).items():
+            for z2, (lo2, g2, p2) in right:
+                # steps lie in {1, 2, 4}, so their gcd is the smaller one
+                if g1 == g2:
+                    g, prod = g1, p1 * p2
+                elif g1 < g2:
+                    g, prod = g1, p1 * _restride(p2, bits, bits * g2 // g1)
+                else:
+                    g, prod = g2, _restride(p1, bits, bits * g1 // g2) * p2
+                _add_row(out, z1 + z2, lo1 + lo2, g, prod, bits)
         return _poly(out, norm, bits)
 
     __rmul__ = __mul__
@@ -291,7 +357,15 @@ class BivariatePolynomial:
         return all(ze == 0 for ze in self._rows)
 
     def has_integer_exponents(self) -> bool:
-        return all(q4 % 4 == 0 for _, q4 in self.terms)
+        """Whether every q-exponent is an integer.  A row of step 4 holds
+        exponents lo + 4i, lo among them, so it is read off lo; only a finer
+        row is decoded."""
+        for lo, g, p in self._rows.values():
+            if lo % 4:
+                return False
+            if g < 4 and any(c and (g * i) % 4 for i, c in enumerate(_unpack(p, self._bits))):
+                return False
+        return True
 
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
@@ -299,7 +373,8 @@ class BivariatePolynomial:
 
     def shift_quarters(self, q4: int) -> "BivariatePolynomial":
         """Multiply by q^(q4/4) for an int q4."""
-        return _poly({z: (lo + q4, p) for z, (lo, p) in self._rows.items()}, self._norm, self._bits)
+        rows = {z: (lo + q4, g, p) for z, (lo, g, p) in self._rows.items()}
+        return _poly(rows, self._norm, self._bits)
 
     def z_shift(self, ze: int) -> "BivariatePolynomial":
         """Multiply by z^ze for an int (not a bool) ze."""
@@ -324,8 +399,14 @@ class BivariatePolynomial:
         return self._substitute(lambda z, q4: (0, 4 * z + 2 * q4))
 
     def subs_q_to_q2(self) -> "BivariatePolynomial":
-        """Substitute q = q^2."""
-        return self._substitute(lambda z, q4: (z, 2 * q4))
+        """Substitute q = q^2: each row's exponents double, so a row of step
+        g <= 2 keeps its digits at step 2g, and a row of step 4 is spread by
+        2 at step 4."""
+        bits = self._bits
+        return _poly({
+            z: (2 * lo, 2 * g, p) if g <= 2 else (2 * lo, 4, _restride(p, bits, 2 * bits))
+            for z, (lo, g, p) in self._rows.items()
+        }, self._norm, bits)
 
     # -- exact division ----------------------------------------------------------
 
@@ -335,17 +416,29 @@ class BivariatePolynomial:
         Raises ValueError when either operand involves z or the division
         leaves a remainder.
 
-        Both rows n and d are read at one width B and their packed ints
+        The division runs at h = gcd(g_n, g_d), the two rows' steps, with
+        both rows spread to step h.  Then self = q^(a/4) N(y) and divisor =
+        q^(b/4) D(y), with y = q^(h/4) and N, D polynomials whose constant
+        terms are non-zero.  If self / divisor is a Laurent polynomial in
+        t = q^(1/4), so is R = N(t^h) / D(t^h) = t^(b-a) * self / divisor;
+        and R is fixed under t -> zeta*t for every h-th root of unity zeta,
+        as N(t^h) and D(t^h) are, so only powers of t^h occur in it: R =
+        P(y) for a Laurent polynomial P, with no negative power since N(0)
+        and D(0) are non-zero.  So N / D is a polynomial in y exactly when
+        self / divisor is a Laurent polynomial, and the quotient is
+        q^((a-b)/4) P(y), a row of step h; below, deg is the degree in y.
+
+        Both rows N and D are read at one width B and their packed ints
         divided once.  A polynomial quotient would divide them exactly at
         every B, so a non-zero integer remainder raises.  An exact integer
         quotient decodes to a row Q with digits below 2^(B-1); the row
-        Q*d - n vanishes at q^(1/4) = 2^B and has every coefficient at
-        most max|Q| * ||d||_1 + max|n|.  When that is < 2^(B-1), Q*d - n
-        is the zero polynomial and Q is the quotient.  Otherwise B is
-        doubled and the division redone.  A true quotient has ||Q||_1 <=
-        2^deg(n) * ||n||_1 (Mignotte), so once 2^(B-1) exceeds
-        2^deg(n) * ||n||_1 * ||d||_1 + ||n||_1 and the check still fails,
-        there is no quotient and the division raises as inexact.
+        Q*D - N vanishes at y = 2^B and has every coefficient at most
+        max|Q| * ||D||_1 + max|N|.  When that is < 2^(B-1), Q*D - N is the
+        zero polynomial and Q is the quotient.  Otherwise B is doubled and
+        the division redone.  A true quotient has ||Q||_1 <= 2^deg(N) *
+        ||N||_1 (Mignotte), so once 2^(B-1) exceeds 2^deg(N) * ||N||_1 *
+        ||D||_1 + ||N||_1 and the check still fails, there is no quotient
+        and the division raises as inexact.
         """
         if not divisor:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -354,10 +447,13 @@ class BivariatePolynomial:
         if not self:
             return ZERO
 
+        lo_n, g_n, n0 = self._rows[0]
+        lo_d, g_d, d0 = divisor._rows[0]
+        step = gcd(g_n, g_d)
         bits = max(self._bits, divisor._bits)
         while True:
-            lo_n, n = self._at(bits)[0]
-            lo_d, d = divisor._at(bits)[0]
+            n = _restride(n0, self._bits, bits * g_n // step)
+            d = _restride(d0, divisor._bits, bits * g_d // step)
             quot, rem = divmod(n, d)
             if rem:
                 raise ValueError("inexact polynomial division")
@@ -372,7 +468,7 @@ class BivariatePolynomial:
         if _width(norm) != bits:
             bits = _width(norm)
             quot = _join(digits, bits)
-        return _poly({0: (lo_n - lo_d, quot)}, norm, bits)
+        return _poly({0: (lo_n - lo_d, step, quot)}, norm, bits)
 
     # -- serialization -------------------------------------------------------------
 

@@ -301,10 +301,11 @@ def test_no_argparse_gettext_or_locale():
 
 
 def test_no_dataclasses_or_inspect():
-    """The CLI's modules are plain ``__slots__`` classes: importing it loads
-    neither ``dataclasses`` nor the ``inspect`` module it pulls in."""
+    """The CLI's modules are plain ``__slots__`` classes and the ring parses
+    a str q-exponent by hand: importing it loads neither ``dataclasses`` nor
+    the ``inspect`` module it pulls in, nor ``fractions`` and ``decimal``."""
     code = ("import sys; before = set(sys.modules); from demcrystal import cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & (set(sys.modules) - before)))")
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_env(), check=True)
     assert done.stdout.splitlines()[-1] == "[]"

@@ -203,3 +203,152 @@ def test_equal_at_different_widths():
         assert wide == p and p == wide and hash(wide) == hash(p)
         assert wide.to_json_obj() == p.to_json_obj()
         assert len({wide, p}) == 1
+
+
+# -- rows with a quarter step: mixed steps, offsets and the strided helper -----
+
+t = BivariatePolynomial.term(1, qe=Fraction(1, 4))
+
+
+def step_poly(rng, g, lo, z_free=False):
+    """A polynomial whose terms all sit at quarter exponents lo + g*i."""
+    terms = {}
+    for _ in range(rng.randint(1, 6)):
+        ze = 0 if z_free else rng.randint(-2, 2)
+        terms[(ze, lo + g * rng.randint(0, 6))] = rng.choice((-3, -2, -1, 1, 2, 3))
+    return BivariatePolynomial(terms)
+
+
+def steps(p):
+    return {z: g for z, (lo, g, _) in p._rows.items()}
+
+
+def test_mixed_steps_and_offsets_match_sympy():
+    rng = random.Random(30)
+    for _ in range(120):
+        a = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5))
+        b = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5))
+        sa, sb = to_sympy(a), to_sympy(b)
+        assert same(to_sympy(a + b), sa + sb), (a, b)
+        assert same(to_sympy(a - b), sa - sb), (a, b)
+        assert same(to_sympy(a * b), sa * sb), (a, b)
+        assert same(to_sympy(a * b + a.q_shift(Fraction(1, 4))), sa * sb + sa * x), (a, b)
+
+
+def test_steps_of_built_sums_and_products():
+    one, q2 = BivariatePolynomial.term(1), BivariatePolynomial.term(1, qe=Fraction(1, 2))
+    assert steps(1 + q) == steps(q2) == {0: 4} and steps(1 + q2) == {0: 2}
+    assert steps(one + t) == {0: 1}  # two step-4 rows at residues 0 and 1
+    assert same(to_sympy(one + t), 1 + x)
+    assert steps((1 + q) * (1 + q2)) == {0: 2} and steps((1 + q) * (1 + t)) == {0: 1}
+    assert same(to_sympy((1 + q) * (1 + t)), (1 + x ** 4) * (1 + x))
+    assert same(to_sympy((1 + q2) * (1 - t) + q2), (1 + x ** 2) * (1 - x) + x ** 2)
+    # a q^(1/2) between step-4 rows at residues 0 and 2 gives step 2
+    assert steps(q + q2 * q) == {0: 2} and (q + q2 * q).to_text() == "q + q^(3/2)"
+
+
+def test_sums_cancel_to_a_coarser_step_or_another_lo():
+    q2 = BivariatePolynomial.term(1, qe=Fraction(1, 2))
+    # 1 + q^(1/4) + q carries step 1; taking q^(1/4) away leaves 1 + q at
+    # step 1, equal to the step-4 row of 1 + q
+    coarse = (1 + t + q) - t
+    assert steps(coarse) == {0: 1} and steps(1 + q) == {0: 4}
+    assert coarse == 1 + q and 1 + q == coarse and hash(coarse) == hash(1 + q)
+    assert coarse.terms == {(0, 0): 1, (0, 4): 1} and coarse.to_text() == "1 + q"
+    assert coarse.has_integer_exponents() and not (coarse + t).has_integer_exponents()
+    assert len({coarse, 1 + q, (1 + q2 + q) - q2}) == 1
+    # the lowest digits cancel at step 2: lo moves up by the step, not by 1
+    moved = (1 + q2 + q) - 1
+    assert moved._rows[0][:2] == (2, 2) and moved == q2 + q and moved.to_text() == "q^(1/2) + q"
+    moved = (t + q2 + q * t) - t - q2
+    assert moved == q * t and moved._rows[0][0] == 5 and moved.coefficient(0, Fraction(5, 4)) == 1
+    # a different lo and a different step on several z-rows at once
+    z = BivariatePolynomial.term(1, ze=1)
+    mixed = (z * (t + q) + (1 + q2)) - z * t - q2
+    assert mixed == z * q + 1 and hash(mixed) == hash(z * q + 1)
+    assert steps(mixed) == {1: 1, 0: 2} and steps(z * q + 1) == {1: 4, 0: 4}
+    assert mixed != z * q + 2 and mixed != z * q + 1 + q and mixed != z * q2 + 1
+
+
+def test_equal_across_steps_random():
+    # the same value reached at steps 1, 2 and 4 is equal and hashes alike;
+    # one changed term breaks the equality at every step
+    rng = random.Random(31)
+    for _ in range(40):
+        p = step_poly(rng, 4, 4 * rng.randint(-2, 2))
+        # a quarter and a half power on every z-row of p, added and taken away
+        quarter = BivariatePolynomial({(ze, 1): 1 for ze in p._rows})
+        finer = (p + quarter) - quarter
+        middle = (p + quarter * t) - quarter * t
+        assert steps(p) == {z: 4 for z in p._rows}
+        assert steps(finer) == {z: 1 for z in p._rows} and steps(middle) == {z: 2 for z in p._rows}
+        assert p == finer == middle and hash(p) == hash(finer) == hash(middle)
+        assert finer.to_json_obj() == p.to_json_obj()
+        for other in (finer + q, finer + t, finer - q * finer, p * 2):
+            assert other != p and p != other
+
+
+def test_exact_div_with_mixed_steps_matches_sympy():
+    rng = random.Random(32)
+    for _ in range(60):
+        quot = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
+        div = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
+        assert same(to_sympy((quot * div).exact_div(div)), to_sympy(quot)), (quot, div)
+    # a step-4 numerator over a step-1 divisor has a step-1 quotient:
+    # 1 - q = (1 - q^(1/4)) (1 + q^(1/4)) (1 + q^(1/2))
+    got = (1 - q).exact_div(1 + t)
+    assert steps(got) == {0: 1} and same(to_sympy(got), (1 - x) * (1 + x ** 2))
+    # a step-1 numerator over a step-4 divisor
+    got = ((1 + q) * (1 + t)).exact_div(1 + q)
+    assert got == 1 + t and steps(got) == {0: 1}
+    # a step-1 numerator that cancelled down to step 4 over a step-4 divisor
+    got = ((1 + t + q * q) - t).exact_div(1 + q * q)
+    assert got == 1
+    assert (q * (1 + q) * (1 - q)).exact_div(1 - q * q).q_shift(-1) == 1
+
+
+def test_exact_div_with_mixed_steps_rejects_remainders():
+    for num, den in ((1 + q, 1 + t), (1 + t, 1 + q), (1 + q, 1 + q * t), (t * (1 + q), 1 - q),
+                     ((1 + q) * (1 + t) + t, 1 + q), ((1 - q) * (1 + t) + q, 1 - q)):
+        with pytest.raises(ValueError, match="inexact"):
+            num.exact_div(den)
+
+
+def test_integer_exponents_from_row_metadata():
+    q2 = BivariatePolynomial.term(1, qe=Fraction(1, 2))
+    assert (1 + q).has_integer_exponents() and not (t + t * q).has_integer_exponents()
+    assert not (1 + q2).has_integer_exponents() and ((1 + q2 + q) - q2).has_integer_exponents()
+    assert ((1 + t) * (1 - t)).has_integer_exponents() is False
+    assert ((1 + t) * (1 - t) * (1 + q2)).has_integer_exponents()  # 1 - q at step 1
+    assert BivariatePolynomial().has_integer_exponents()
+
+
+def test_subs_q_to_q2_at_every_step():
+    rng = random.Random(33)
+    for _ in range(40):
+        p = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5))
+        p = p + rng.choice((0, 1)) * (p - t)  # cancelled and uncancelled rows alike
+        got = p.subs_q_to_q2()
+        assert same(to_sympy(got), to_sympy(p).subs(x, x ** 2)), p
+        assert got == BivariatePolynomial({(ze, 2 * q4): c for (ze, q4), c in p.terms.items()})
+
+
+def test_restride_matches_unpack_and_join():
+    # the strided copy against the per-digit route it replaces, for widening
+    # and for spreading, alone and together
+    from demcrystal.qlaurent import _join, _restride, _unpack
+
+    rng = random.Random(34)
+    for bits in (32, 64, 128):
+        half = 1 << (bits - 1)
+        cases = [[], [0], [-half], [half - 1], [-half] * 4 + [1], [half - 1, -half, 0, -1]]
+        cases += [[rng.randrange(-half, half) for _ in range(rng.randrange(1, 14))]
+                  for _ in range(60)]
+        for digits in cases:
+            p = _join(digits, bits)
+            for wide in (bits, 2 * bits, 4 * bits):
+                assert _restride(p, bits, wide) == _join(_unpack(p, bits), wide), (bits, wide, digits)
+                for s in (2, 4):  # s - 1 zero digits after each digit
+                    spread = [0] * (s * len(digits))
+                    spread[::s] = digits
+                    assert _restride(p, bits, s * wide) == _join(spread, wide), (bits, wide, s, digits)
