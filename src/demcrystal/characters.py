@@ -310,6 +310,19 @@ def demazure_ch_oracle(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     return specialize(demazure_character_oracle(lam, weyl_word(sign, L)), lam)
 
 
+# name, as --route and FAIL lines give it -> (least L, whether it gives the path
+# character ch_L, (Lambda, L) -> character); each looks its route up when called
+ROUTES = {
+    "path": (0, True, lambda lam, L: ch_path_bruteforce(lam, L)),
+    "recursive": (0, True, lambda lam, L: ch_via_f(lam, L, f_recursive)),
+    "bosonic": (1, True, lambda lam, L: ch_via_f(lam, L, f_bosonic)),
+    "fermionic": (0, True, lambda lam, L: ch_via_f(lam, L, f_fermionic)),
+    "demazure+": (1, False, lambda lam, L: demazure_ch(lam, "+", L)),
+    "demazure-": (1, False, lambda lam, L: demazure_ch(lam, "-", L)),
+    "oracle": (0, False, lambda lam, L: demazure_ch_oracle(lam, "+", L)),
+}
+
+
 # -- specializations -----------------------------------------------------------------------
 
 def q_bracket(a: int) -> BivariatePolynomial:

@@ -46,24 +46,11 @@ def _write_character(poly, fmt: str, out) -> int:
     return EXIT_OK
 
 
-# route -> (least L, character of Lambda at L): the bosonic double sum and
-# the Demazure formulas start at L = 1; the oracle evaluates w^+_L
-ROUTES = {
-    "path": (0, lambda lam, L: ch.ch_path_bruteforce(lam, L)),
-    "recursive": (0, lambda lam, L: ch.ch_via_f(lam, L, ch.f_recursive)),
-    "bosonic": (1, lambda lam, L: ch.ch_via_f(lam, L, ch.f_bosonic)),
-    "fermionic": (0, lambda lam, L: ch.ch_via_f(lam, L, ch.f_fermionic)),
-    "demazure+": (1, lambda lam, L: ch.demazure_ch(lam, "+", L)),
-    "demazure-": (1, lambda lam, L: ch.demazure_ch(lam, "-", L)),
-    "oracle": (0, lambda lam, L: ch.demazure_ch_oracle(lam, "+", L)),
-}
-
-
 def cmd_character(args, out) -> int:
     lam = _weight(args)
     if args.L is None:
         raise SystemExit2("character requires -L")
-    least, route = ROUTES[args.route]
+    least, _, route = ch.ROUTES[args.route]
     if args.L < least:
         raise SystemExit2(f"route {args.route} requires L >= {least}")
     return _write_character(route(lam, args.L), args.format, out)
@@ -127,7 +114,7 @@ def build_parser() -> dict:
             "-L": ("L", int, None), "--word": ("word", str, None)}),
         "character": ("compute a character by a chosen route", cmd_character, {
             **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
-            "-L": ("L", int, None), "--route": ("route", tuple(ROUTES), "recursive")}),
+            "-L": ("L", int, None), "--route": ("route", tuple(ch.ROUTES), "recursive")}),
         "oracle": ("Demazure-operator character for a word", cmd_oracle, {
             **_WEIGHT, "--format": ("format", FORMATS, "table"), **_OUT,
             "--word": ("word", str, None)}),
@@ -193,9 +180,9 @@ def parse_args(table, argv):
 def _to_file(handler, args) -> int:
     """Run ``handler`` into a buffer and write it to ``args.out`` only if it
     succeeds.  The path is opened before any work, so one that cannot be
-    opened is refused at once; a file that opening created is removed again
-    if the request is then refused or faults."""
-    created = not os.path.lexists(args.out)
+    opened is refused at once; a file that opening created (at a dangling
+    link, its target) is removed again if the request is then refused or faults."""
+    created = not os.path.exists(args.out)
     open(args.out, "a").close()
     try:
         sink = io.StringIO()
@@ -205,7 +192,7 @@ def _to_file(handler, args) -> int:
         return code
     except BaseException:
         if created:
-            os.remove(args.out)
+            os.remove(os.path.realpath(args.out))
         raise
 
 

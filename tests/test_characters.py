@@ -268,6 +268,32 @@ def test_routes_refuse_below_their_range():
         real_character_check(lam, 0)
 
 
+@pytest.mark.parametrize("target, raised", [
+    ("ch_path_bruteforce", {"path": None}),
+    ("f_recursive", {"recursive": None}),
+    ("f_bosonic", {"bosonic": None}),
+    ("f_fermionic", {"fermionic": None}),
+    ("demazure_ch", {"demazure+": "+", "demazure-": "-"}),
+    ("demazure_ch_oracle", {"oracle": "+"}),
+])
+def test_route_table_wiring(target, raised, monkeypatch):
+    """With one route replaced by a stub that raises, exactly the table
+    entries wired to it raise, with the sign each passes.  The f routes
+    give equal characters, so no comparison of outputs can see an entry
+    wired to the wrong one."""
+    def stub(lam, *args):
+        raise LookupError(args[0] if isinstance(args[0], str) else None)
+
+    monkeypatch.setattr(characters, target, stub)
+    got = {}
+    for name, (least, _, route) in characters.ROUTES.items():
+        try:
+            route(Weight(1, 1, 0), max(least, 2))
+        except LookupError as e:
+            got[name] = e.args[0]
+    assert got == raised
+
+
 def test_weak_admissibility():
     assert is_weakly_admissible(2, 0, 2)
     assert not is_weakly_admissible(2, 0, 1)

@@ -57,7 +57,7 @@ def test_character_anchor(capsys):
 
 def test_character_routes_agree(capsys):
     outs = set()
-    for route in ("path", "recursive", "bosonic", "fermionic"):
+    for route in (name for name, (_, path, _) in characters.ROUTES.items() if path):
         code, out = run(
             ["character", "--s", "1", "--t", "1", "-L", "2", "--route", route],
             capsys,
@@ -154,13 +154,12 @@ def corpus_requests():
     each crystal format at L = -1..3; every suite at the defaults and at
     --max-k 3 --max-L 4; the empty word; then the oracle's JSON for every
     weight of level 1..4 at w+5..w+8 and w-5..w-8."""
-    routes = ("path", "recursive", "bosonic", "fermionic", "demazure+", "demazure-", "oracle")
     words = [f"w{sign}{L}" for sign in "+-" for L in range(5)] + ["r1r0"]
     for s in range(4):
         for t in range(4 - s):
             w = ("--s", str(s), "--t", str(t))
             for L in range(-1, 6):
-                for route in routes:
+                for route in characters.ROUTES:
                     for fmt in ("table", "json"):
                         yield ("character", *w, "-L", str(L), "--route", route, "--format", fmt)
             for word in words:
@@ -197,6 +196,14 @@ def test_cli_corpus():
     assert not moved, f"{len(moved)} requests moved:\n" + "\n".join(moved)
 
 
+def test_corpus_requests_are_the_corpus():
+    """The generator, which reads the route table, still yields exactly the
+    recorded requests, in order."""
+    recorded = [line.split("  ", 1)[1] for line in CORPUS.read_text().splitlines()]
+    assert len(recorded) == 1480
+    assert [shlex.join(argv) for argv in corpus_requests()] == recorded
+
+
 def test_deterministic_output(capsys):
     args = ["crystal", "--s", "1", "--t", "1", "-L", "2", "--format", "json"]
     _, a = run(args, capsys)
@@ -214,16 +221,19 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert target.read_text().strip() == "1 + z^-1*q"
     # a refused request leaves an existing file byte-identical, and creates
-    # no file where there was none
-    missing = tmp_path / "new.txt"
+    # no file where there was none, nor at the target of a dangling link
+    missing, link = tmp_path / "new.txt", tmp_path / "link"
+    link.symlink_to(missing)
     for argv in (["character", "--s", "0", "--t", "0", "-L", "1"],
                  ["crystal", "--s", "1", "--word", "r0r0"],
                  ["verify", "--suite", "lemmas", "--max-k", "0"]):
         target.write_bytes(b"precious\n")
         assert_usage_error(argv + ["--out", str(target)], capsys)
         assert target.read_bytes() == b"precious\n"
-        assert_usage_error(argv + ["--out", str(missing)], capsys)
-        assert not missing.exists()
+        for out in (missing, link):
+            assert_usage_error(argv + ["--out", str(out)], capsys)
+            assert not missing.exists()
+        assert link.is_symlink()
     # a shorter output replaces a longer file whole
     target.write_text("x" * 100)
     assert run(["character", "--s", "1", "-L", "1", "--out", str(target)], capsys)[0] == 0
@@ -340,8 +350,7 @@ def assert_usage_error(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["character", "--s", "1", "--t", "1", "-L", "-1", "--route", route]
-     for route in ("path", "recursive", "bosonic", "fermionic", "demazure+", "demazure-",
-                   "oracle")]
+     for route in characters.ROUTES]
     + [["crystal", "--s", "1", "--t", "0", "-L", "-1"],
        ["crystal", "--s", "1", "--t", "0", "--word", "w+-1"]],
 )
@@ -399,6 +408,35 @@ def test_verify_failure_path(monkeypatch, capsys):
     )
 
 
+@pytest.mark.parametrize("target, suite, out", [
+    ("f_bosonic", "path-character",
+     "FAIL bosonic s=0 t=1 L=1\npath-character s=0 t=1 L=1: FAIL\n"
+     "FAIL bosonic s=1 t=0 L=1\npath-character s=1 t=0 L=1: FAIL\n"
+     "suite path-character: FAIL\n"),
+    ("demazure_ch_oracle", "demazure-character",
+     "FAIL oracle s=0 t=1 sign=+ L=1\ndemazure-character s=0 t=1 sign=+ L=1: FAIL\n"
+     "FAIL oracle s=0 t=1 sign=- L=1\ndemazure-character s=0 t=1 sign=- L=1: FAIL\n"
+     "FAIL oracle s=1 t=0 sign=+ L=1\ndemazure-character s=1 t=0 sign=+ L=1: FAIL\n"
+     "FAIL oracle s=1 t=0 sign=- L=1\ndemazure-character s=1 t=0 sign=- L=1: FAIL\n"
+     "suite demazure-character: FAIL\n"),
+], ids=["bosonic", "oracle"])
+def test_verify_failure_names_the_route(target, suite, out, monkeypatch, capsys):
+    # a FAIL line names the side that differs, a route as --route names it
+    monkeypatch.setattr(characters, target, lambda *args: ZERO)
+    assert run(["verify", "--suite", suite, "--max-k", "1", "--max-L", "1"], capsys) == (1, out)
+
+
+def test_vertex_failure_names_the_key_least_vertex(monkeypatch):
+    # the report does not hang on the order a set of vertices iterates in
+    monkeypatch.setattr(verify, "_vertex_ok", lambda T, s: False)
+    checks = verify.demazure_crystal(2, 3)
+    for lam in weights_up_to(2):
+        for L in range(1, 4):
+            prev = generate_crystal(lam, L - 1).vertices if L > 1 else frozenset()
+            least = min(T.key() for T in generate_crystal(lam, L).vertices - prev)
+            assert next(checks).failures == (f"vertex s={lam.a0} t={lam.a1} L={L} {least}",)
+
+
 def test_vertex_check_refuses_equal_widths():
     # a valid tuple of widths (1, 1) outside B(Lambda_0 + Lambda_1): Y_1 and
     # Y_{s+1} may not have one width off the vacuum
@@ -425,8 +463,8 @@ def test_verify_vertex_failure_path(broken, monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["character", "--s", "1", "--t", "1", "-L", "0", "--route", route]
-     for route in ("bosonic", "demazure+", "demazure-")]
+    [["character", "--s", "1", "--t", "1", "-L", str(least - 1), "--route", route]
+     for route, (least, _, _) in characters.ROUTES.items() if least]
     + [["crystal", "--s", "1", "--t", "0", "--word", "r0r0"],
        ["oracle", "--s", "1", "--t", "0", "--word", "r1r1"],
        ["oracle", "--s", "1", "--t", "0", "--word", "w+x"]],

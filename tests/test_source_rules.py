@@ -5,8 +5,8 @@ verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 ``Fraction`` outside ``qlaurent._quarters``; no route to f^(k)_L or to
 the fermionic F-sum built on another of them, and no Demazure character
 route built on another; no memo on any cross-checked character route,
-crystal operator, crystal generator or path weight; and no room for one
-on a diagram tuple."""
+crystal operator, crystal generator or path weight; no room for one on a
+diagram tuple; and a route table that matches its hand-written pin."""
 import ast
 from pathlib import Path
 
@@ -163,6 +163,22 @@ def test_route_rule_catches_the_pattern():
         (6, "f_bosonic names ch_via_f"),
         (14, "demazure_ch_oracle names demazure_ch"),
     ]
+
+
+# The route table, pinned by hand: name -> (least L, whether it gives the path
+# character).  A route dropped from, renamed in or moved within
+# characters.ROUTES fails here instead of silently leaving the CLI, the
+# path-character records and the CLI corpus.
+ROUTE_PINS = [
+    ("path", 0, True), ("recursive", 0, True), ("bosonic", 1, True), ("fermionic", 0, True),
+    ("demazure+", 1, False), ("demazure-", 1, False), ("oracle", 0, False),
+]
+
+
+def test_route_table_matches_the_pins():
+    from demcrystal.characters import ROUTES
+
+    assert [(name, least, path) for name, (least, path, _) in ROUTES.items()] == ROUTE_PINS
 
 
 # A memo on a cross-checked route would let a check read back a stored
