@@ -214,9 +214,11 @@ def ch_path_bruteforce(lam: Weight, L: int) -> BivariatePolynomial:
     return specialize(Counter(path_weight(p, lam) for p in enumerate_paths(lam, L)), lam)
 
 
-def ch_via_f(lam: Weight, L: int, f_impl=f_recursive) -> BivariatePolynomial:
-    """Path character through the configuration sum; exponents must close
+def ch_via_f(lam: Weight, L: int, f_impl=None) -> BivariatePolynomial:
+    """Path character through the configuration sum of f_impl, by default
+    f_recursive as this module holds it when called; exponents must close
     to integers, anything else raises."""
+    f_impl = f_impl or f_recursive
     if L < 0:
         raise ValueError("requires L >= 0")
     require_dominant(lam)

@@ -11,34 +11,29 @@ divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
 fractions.
 
 Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
-z-power a are stored as one triple ``(lo, g, p)``: lo is the lowest
-quarter exponent e, g in {1, 2, 4} is the row's quarter step, every term
-sits at some e = lo + g*i, and p = sum of c_(lo+g*i) * 2^(B*i), the row
-evaluated at q^(g/4) = 2^B and divided by q^(lo/4).  The digits are
-signed: every |c| < 2^(B-1), so p determines them, and the digit at lo is
-non-zero.  The gaussians, q-Pochhammers and multinomials have only
-integer exponents, so their rows take g = 4 and carry no zero digits
-between terms.  The constructor gives each row the largest g that divides
-4 and every gap between its exponents.  A shift or a negation keeps g; a
-product takes gcd(g1, g2), and a sum gcd(g1, g2, lo1 - lo2), spreading an
-operand to that finer step first only when the steps or the residues of
-lo differ.  A sum can cancel down to a coarser step than it carries, so g
-is not canonical: equality compares the decoded terms of rows that differ
-as packed triples, and hashing reads the decoded terms.  Each polynomial tracks a bound N on the
-sum of |c| over all its terms, and its digit width B is the smallest of
-32, 64, 128, ... with N < 2^(B-1).  Sums and products carry the bound
-along (N1 + N2 and N1 * N2); when that needs a wider B, the operands are
-re-packed wider before the operation, so a digit never overflows.  A
-product of two rows is then one int multiply, a sum is a shift and an
-add, a q-shift moves lo, and exact division is one divmod at the gcd of
-the two steps (``exact_div`` states why its quotient is exact).
+z-power a whose quarter exponents e share one residue r = e mod 4 are
+stored as one pair ``(lo, p)`` under the key (a, r): lo is the lowest
+such e, every term sits at some e = lo + 4i, and p = sum of c_(lo+4i) *
+2^(B*i), the row evaluated at q = 2^B and divided by q^(lo/4).  The
+digits are signed: every |c| < 2^(B-1), so p determines them, and the
+digit at lo is non-zero.  A z-power whose exponents mix residues has one
+row per residue, at most four; every value of f, and every gaussian,
+q-Pochhammer and multinomial, has one residue per z-power.  At one digit
+width the rows are canonical, so equal polynomials of one width have
+equal ``_rows``.  Each polynomial tracks a bound N on the sum of |c| over
+all its terms, and its digit width B is the smallest of 32, 64, 128, ...
+with N < 2^(B-1).  Sums and products carry the bound along (N1 + N2 and
+N1 * N2); when that needs a wider B, the operands are re-packed wider
+before the operation, so a digit never overflows.  A product of two rows
+is then one int multiply, a sum is a shift and an add, a q-shift moves lo
+(and with it the residue key), and exact division of one row by one row
+is one divmod (``exact_div`` states why its quotient is exact).
 ``_restride`` moves digit i of a row to bit P*i with strided byte copies;
-it both spreads a row to a finer step (P = B*g/h) and widens its digits
-(P = 2B, 4B, ...).  Terms are decoded only at the boundary: text, JSON,
-term queries and hashing.  ``_join`` packs a row's digits and ``_unpack``
-reads them back, as native machine words at B = 32 and 64 and byte by
-byte at wider B.  Coefficients are Python ints, so all arithmetic is
-exact at any size.
+it widens digits (P = 2B, 4B, ...) and spreads a row for q -> q^2
+(P = 2B).  Terms are decoded only at the boundary: text, JSON, term queries
+and hashing.  ``_join`` packs a row's digits and ``_unpack`` reads them
+back, as native machine words at B = 32 and 64 and byte by byte at wider
+B.  Coefficients are Python ints, so all arithmetic is exact at any size.
 """
 from __future__ import annotations
 
@@ -145,8 +140,8 @@ def _restride(p: int, bits: int, period: int) -> int:
     """The int whose digit at bit period*i is the i-th signed base-2^bits
     digit of p, with zero digits between (period a multiple of bits).
 
-    With period = bits * s this spreads a row to an s times finer step;
-    with period = 2 * bits, 4 * bits, ... it widens the digits.  As in
+    With period = 2 * bits, 4 * bits, ... it widens the digits, or, kept
+    at the same width, spreads them s = period / bits times apart.  As in
     ``_unpack``, each digit plus 2^(bits-1) is read as w = bits/8 bytes;
     byte j of every digit is copied at once by one strided slice, into a
     zeroed buffer whose digits are period/8 bytes apart, and the offsets
@@ -164,35 +159,26 @@ def _restride(p: int, bits: int, period: int) -> int:
     return int.from_bytes(out, "little") - half * _ones(n, period)
 
 
-def _add_row(rows: dict, z: int, lo: int, g: int, p: int, bits: int) -> None:
-    """rows[z] += the packed row (lo, g, p); a row that cancels is dropped.
-
-    When the steps and the residues of lo agree, the rows add at their
-    step as they are; otherwise both are spread to gcd(g, g0, lo - lo0)."""
-    old = rows.get(z)
+def _add_row(rows: dict, key: tuple, lo: int, p: int, bits: int) -> None:
+    """rows[key] += the packed row (lo, p), key = (z, lo % 4); a row that
+    cancels is dropped, and one whose lowest digits cancel moves lo up."""
+    old = rows.get(key)
     if old is None:
-        rows[z] = (lo, g, p)
+        rows[key] = (lo, p)
         return
-    lo0, g0, p0 = old
-    if g != g0 or (lo - lo0) % g:
-        h = gcd(g, g0, lo - lo0)
-        if g != h:
-            p = _restride(p, bits, bits * (g // h))
-        if g0 != h:
-            p0 = _restride(p0, bits, bits * (g0 // h))
-        g = h
+    lo0, p0 = old
     if lo < lo0:
         lo, p, lo0, p0 = lo0, p0, lo, p
-    s = p0 + (p << (bits * ((lo - lo0) // g)))
+    s = p0 + (p << (bits * ((lo - lo0) // 4)))
     if not s:
-        del rows[z]
+        del rows[key]
         return
     if lo == lo0:  # the lowest digits may have cancelled
         zeros = ((s & -s).bit_length() - 1) // bits
         if zeros:
             s >>= bits * zeros
-            lo0 += zeros * g
-    rows[z] = (lo0, g, s)
+            lo0 += 4 * zeros
+    rows[key] = (lo0, s)
 
 
 def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
@@ -210,8 +196,7 @@ class BivariatePolynomial:
     """Finite integer combination of z^a * q^r, a integer, r quarter-integer.
 
     Instances are immutable.  Rows are stored packed (see the module
-    docstring); equality and hashing depend on neither the digit width
-    nor the step.
+    docstring); equality and hashing do not depend on the digit width.
     """
 
     __slots__ = ("_rows", "_norm", "_bits")
@@ -219,27 +204,26 @@ class BivariatePolynomial:
     def __init__(self, terms=None):
         """The polynomial with terms {(z-exponent, 4 * q-exponent): coefficient},
         the int keys ``terms`` returns; zero coefficients are dropped."""
-        by_z: dict[int, dict[int, int]] = {}
+        by_key: dict[tuple[int, int], dict[int, int]] = {}
         norm = 0
         for (z, q4), c in (terms or {}).items():
             if not type(z) is type(q4) is type(c) is int:  # a bool or a float equals an int
                 raise TypeError(f"term {(z, q4)!r}: {c!r} holds a value that is not an int")
             if c:
-                by_z.setdefault(z, {})[q4] = c
+                by_key.setdefault((z, q4 % 4), {})[q4] = c
                 norm += abs(c)
         bits = _width(norm)
         rows = {}
-        for z, row in by_z.items():
+        for key, row in by_key.items():
             lo = min(row)
-            g = gcd(4, *(e - lo for e in row))
-            rows[z] = (lo, g, _join([row.get(e, 0) for e in range(lo, max(row) + 1, g)], bits))
+            rows[key] = (lo, _join([row.get(e, 0) for e in range(lo, max(row) + 1, 4)], bits))
         self._rows, self._norm, self._bits = rows, norm, bits
 
     def _at(self, bits: int) -> dict:
         """The rows re-packed at a digit width bits >= self._bits."""
         if bits == self._bits:
             return self._rows
-        return {z: (lo, g, _restride(p, self._bits, bits)) for z, (lo, g, p) in self._rows.items()}
+        return {key: (lo, _restride(p, self._bits, bits)) for key, (lo, p) in self._rows.items()}
 
     # -- construction helpers -------------------------------------------------
 
@@ -253,10 +237,10 @@ class BivariatePolynomial:
     def terms(self) -> dict:
         """The non-zero terms as {(z-exponent, 4 * q-exponent): coefficient}."""
         out = {}
-        for z, (lo, g, p) in self._rows.items():
+        for (z, _), (lo, p) in self._rows.items():
             for i, c in enumerate(_unpack(p, self._bits)):
                 if c:
-                    out[(z, lo + g * i)] = c
+                    out[(z, lo + 4 * i)] = c
         return out
 
     def __bool__(self) -> bool:
@@ -267,10 +251,8 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        if self._bits == other._bits and self._rows == other._rows:
-            return True
-        # rows that differ as packed triples may still be equal at another
-        # step or width, so those are compared term by term
+        if self._bits == other._bits:  # rows are canonical at one width
+            return self._rows == other._rows
         return self.terms == other.terms
 
     def __hash__(self):
@@ -293,14 +275,14 @@ class BivariatePolynomial:
         norm = self._norm + other._norm
         bits = _width(norm)
         out = dict(self._at(bits))
-        for z, (lo, g, p) in other._at(bits).items():
-            _add_row(out, z, lo, g, p, bits)
+        for key, (lo, p) in other._at(bits).items():
+            _add_row(out, key, lo, p, bits)
         return _poly(out, norm, bits)
 
     __radd__ = __add__
 
     def __neg__(self) -> "BivariatePolynomial":
-        rows = {z: (lo, g, -p) for z, (lo, g, p) in self._rows.items()}
+        rows = {key: (lo, -p) for key, (lo, p) in self._rows.items()}
         return _poly(rows, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
@@ -318,18 +300,12 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         norm = self._norm * other._norm
         bits = max(self._bits, other._bits, _width(norm))
-        out: dict[int, tuple[int, int, int]] = {}
+        out: dict[tuple[int, int], tuple[int, int]] = {}
         right = other._at(bits).items()
-        for z1, (lo1, g1, p1) in self._at(bits).items():
-            for z2, (lo2, g2, p2) in right:
-                # steps lie in {1, 2, 4}, so their gcd is the smaller one
-                if g1 == g2:
-                    g, prod = g1, p1 * p2
-                elif g1 < g2:
-                    g, prod = g1, p1 * _restride(p2, bits, bits * g2 // g1)
-                else:
-                    g, prod = g2, _restride(p1, bits, bits * g1 // g2) * p2
-                _add_row(out, z1 + z2, lo1 + lo2, g, prod, bits)
+        for (z1, _), (lo1, p1) in self._at(bits).items():
+            for (z2, _), (lo2, p2) in right:
+                lo = lo1 + lo2
+                _add_row(out, (z1 + z2, lo % 4), lo, p1 * p2, bits)
         return _poly(out, norm, bits)
 
     __rmul__ = __mul__
@@ -354,18 +330,11 @@ class BivariatePolynomial:
         return self.terms.get((ze, _quarters(qe)), 0)
 
     def is_z_free(self) -> bool:
-        return all(ze == 0 for ze in self._rows)
+        return all(ze == 0 for ze, _ in self._rows)
 
     def has_integer_exponents(self) -> bool:
-        """Whether every q-exponent is an integer.  A row of step 4 holds
-        exponents lo + 4i, lo among them, so it is read off lo; only a finer
-        row is decoded."""
-        for lo, g, p in self._rows.values():
-            if lo % 4:
-                return False
-            if g < 4 and any(c and (g * i) % 4 for i, c in enumerate(_unpack(p, self._bits))):
-                return False
-        return True
+        """Whether every q-exponent is an integer: every row's residue is 0."""
+        return all(r == 0 for _, r in self._rows)
 
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
@@ -373,14 +342,14 @@ class BivariatePolynomial:
 
     def shift_quarters(self, q4: int) -> "BivariatePolynomial":
         """Multiply by q^(q4/4) for an int q4."""
-        rows = {z: (lo + q4, g, p) for z, (lo, g, p) in self._rows.items()}
+        rows = {(z, (lo + q4) % 4): (lo + q4, p) for (z, _), (lo, p) in self._rows.items()}
         return _poly(rows, self._norm, self._bits)
 
     def z_shift(self, ze: int) -> "BivariatePolynomial":
         """Multiply by z^ze for an int (not a bool) ze."""
         if type(ze) is not int:
             raise TypeError(f"z-exponent {ze!r} is not an int")
-        return _poly({z + ze: row for z, row in self._rows.items()}, self._norm, self._bits)
+        return _poly({(z + ze, r): row for (z, r), row in self._rows.items()}, self._norm, self._bits)
 
     def _substitute(self, new_key) -> "BivariatePolynomial":
         """Move each term to new_key(z, q4), summing terms that collide."""
@@ -399,14 +368,14 @@ class BivariatePolynomial:
         return self._substitute(lambda z, q4: (0, 4 * z + 2 * q4))
 
     def subs_q_to_q2(self) -> "BivariatePolynomial":
-        """Substitute q = q^2: each row's exponents double, so a row of step
-        g <= 2 keeps its digits at step 2g, and a row of step 4 is spread by
-        2 at step 4."""
+        """Substitute q = q^2: each row's exponents double, so its digits
+        are spread by 2, and the rows of residues r and r + 2 meet at
+        residue 2r mod 4, their exponents apart mod 8."""
         bits = self._bits
-        return _poly({
-            z: (2 * lo, 2 * g, p) if g <= 2 else (2 * lo, 4, _restride(p, bits, 2 * bits))
-            for z, (lo, g, p) in self._rows.items()
-        }, self._norm, bits)
+        out: dict[tuple[int, int], tuple[int, int]] = {}
+        for (z, r), (lo, p) in self._rows.items():
+            _add_row(out, (z, 2 * r % 4), 2 * lo, _restride(p, bits, 2 * bits), bits)
+        return _poly(out, self._norm, bits)
 
     # -- exact division ----------------------------------------------------------
 
@@ -416,23 +385,23 @@ class BivariatePolynomial:
         Raises ValueError when either operand involves z or the division
         leaves a remainder.
 
-        The division runs at h = gcd(g_n, g_d), the two rows' steps, with
-        both rows spread to step h.  Then self = q^(a/4) N(y) and divisor =
-        q^(b/4) D(y), with y = q^(h/4) and N, D polynomials whose constant
-        terms are non-zero.  If self / divisor is a Laurent polynomial in
-        t = q^(1/4), so is R = N(t^h) / D(t^h) = t^(b-a) * self / divisor;
-        and R is fixed under t -> zeta*t for every h-th root of unity zeta,
-        as N(t^h) and D(t^h) are, so only powers of t^h occur in it: R =
-        P(y) for a Laurent polynomial P, with no negative power since N(0)
-        and D(0) are non-zero.  So N / D is a polynomial in y exactly when
-        self / divisor is a Laurent polynomial, and the quotient is
-        q^((a-b)/4) P(y), a row of step h; below, deg is the degree in y.
+        One row over one row (each operand of a single residue) is divided
+        packed.  Then self = q^(a/4) N(q) and divisor = q^(b/4) D(q), with N,
+        D polynomials whose constant terms are non-zero.  A Laurent
+        polynomial in t = q^(1/4) is uniquely R0 + t R1 + t^2 R2 + t^3 R3
+        with every Ri a Laurent polynomial in q, so N = D * R splits by
+        residue into N = D * R0 and D * Ri = 0 for i > 0: N / D is one in t
+        exactly when it is a polynomial P in q (no negative power, as N(0)
+        and D(0) are non-zero), and the quotient is q^((a-b)/4) P(q).
+        Operands that mix residues are divided as polynomials in t, each
+        quarter exponent re-read as an exponent of q; no division that the
+        library makes takes this route.
 
         Both rows N and D are read at one width B and their packed ints
         divided once.  A polynomial quotient would divide them exactly at
         every B, so a non-zero integer remainder raises.  An exact integer
         quotient decodes to a row Q with digits below 2^(B-1); the row
-        Q*D - N vanishes at y = 2^B and has every coefficient at most
+        Q*D - N vanishes at q = 2^B and has every coefficient at most
         max|Q| * ||D||_1 + max|N|.  When that is < 2^(B-1), Q*D - N is the
         zero polynomial and Q is the quotient.  Otherwise B is doubled and
         the division redone.  A true quotient has ||Q||_1 <= 2^deg(N) *
@@ -446,14 +415,16 @@ class BivariatePolynomial:
             raise ValueError("exact_div is only defined for z-free polynomials")
         if not self:
             return ZERO
+        if len(self._rows) > 1 or len(divisor._rows) > 1:
+            n, d = (p._substitute(lambda z, q4: (z, 4 * q4)) for p in (self, divisor))
+            return n.exact_div(d)._substitute(lambda z, q4: (z, q4 // 4))
 
-        lo_n, g_n, n0 = self._rows[0]
-        lo_d, g_d, d0 = divisor._rows[0]
-        step = gcd(g_n, g_d)
+        (lo_n, n0), = self._rows.values()
+        (lo_d, d0), = divisor._rows.values()
         bits = max(self._bits, divisor._bits)
         while True:
-            n = _restride(n0, self._bits, bits * g_n // step)
-            d = _restride(d0, divisor._bits, bits * g_d // step)
+            n = _restride(n0, self._bits, bits)
+            d = _restride(d0, divisor._bits, bits)
             quot, rem = divmod(n, d)
             if rem:
                 raise ValueError("inexact polynomial division")
@@ -468,7 +439,8 @@ class BivariatePolynomial:
         if _width(norm) != bits:
             bits = _width(norm)
             quot = _join(digits, bits)
-        return _poly({0: (lo_n - lo_d, step, quot)}, norm, bits)
+        lo = lo_n - lo_d
+        return _poly({(0, lo % 4): (lo, quot)}, norm, bits)
 
     # -- serialization -------------------------------------------------------------
 

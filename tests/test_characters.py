@@ -270,7 +270,7 @@ def test_routes_refuse_below_their_range():
 
 @pytest.mark.parametrize("target, raised", [
     ("ch_path_bruteforce", {"path": None}),
-    ("f_recursive", {"recursive": None}),
+    ("f_recursive", {"recursive": None, "demazure+": None, "demazure-": None}),
     ("f_bosonic", {"bosonic": None}),
     ("f_fermionic", {"fermionic": None}),
     ("demazure_ch", {"demazure+": "+", "demazure-": "-"}),

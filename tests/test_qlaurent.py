@@ -266,6 +266,60 @@ def test_exact_div_rejects_z():
         (ONE + zpow(1)).exact_div(ONE + qpow(1))
 
 
+def test_rows_are_canonical():
+    # at one digit width a value has one set of packed rows, whichever way
+    # it was built, which is all == compares at one width; hashes agree too
+    t, q2, q, z = qpow(Fraction(1, 4)), qpow(Fraction(1, 2)), qpow(1), zpow(1)
+    pairs = [
+        ((1 + q) - 1, q),  # the lowest digit cancels
+        ((1 + q + q * q) - 1 - q, q * q),
+        ((1 + q + q * q) - q * q, 1 + q),  # the highest digit cancels
+        ((1 + t + q) - t, 1 + q),  # a whole residue cancels
+        ((t + q2 + q * t) - t - q2, q * t),
+        (z * (t + q) - z * t, z * q),
+        ((1 + t) * (1 - q2), (1 - q2) * (1 + t)),
+        (((1 + t + q) - t).subs_q_to_q2(), (1 + q).subs_q_to_q2()),
+    ]
+    rng = random.Random(40)
+    for _ in range(60):
+        a, b, c = rand_poly(rng), rand_poly(rng), rand_poly(rng)
+        pairs += [
+            ((a + c) - c, a),
+            ((c + a) - c, a),
+            (a * b, b * a),
+            ((a * b) * c, a * (b * c)),
+            (a.shift_quarters(5).z_shift(-2).shift_quarters(-5).z_shift(2), a),
+            (a.q_shift(Fraction(-3, 4)).q_shift(Fraction(3, 4)), a),
+            (((a + c) - c).subs_q_to_q2(), a.subs_q_to_q2()),
+            ((a * b).subs_q_to_q2(), (b * a).subs_q_to_q2()),
+        ]
+    for built, value in pairs:
+        assert built._bits == value._bits, (built, value)
+        assert built._rows == value._rows and hash(built) == hash(value), (built, value)
+        assert built == value and not built != value
+
+
+def test_library_divisions_stay_packed(monkeypatch):
+    # every exact_div the library makes divides one row by one row; only
+    # operands that mix quarter residues reach the fallback, which
+    # re-reads exponents through _substitute
+    from conftest import run_engine
+    from demcrystal import verify
+
+    def refuse(self, new_key):
+        raise AssertionError("exact_div took the mixed-residue fallback")
+
+    monkeypatch.setattr(BivariatePolynomial, "_substitute", refuse)
+    with pytest.raises(AssertionError, match="fallback"):
+        (1 - qpow(1)).exact_div(1 + qpow(Fraction(1, 4)))
+    ok, first_bad = run_engine({"boson-fermion": 894}, verify.boson_fermion(3, 6))
+    assert ok, first_bad
+    fresh = gaussian.__wrapped__  # computed anew, past the memo
+    for M in range(-5, 10):
+        for i in range(1, 7):
+            assert fresh(M, i) == fresh(M - 1, i - 1) + qpow(i) * fresh(M - 1, i), (M, i)
+
+
 def test_substitutions():
     p = zpow(-2) * qpow(3) + zpow(1)
     r = p.subs_q_one_z_to_qinv()

@@ -205,7 +205,7 @@ def test_equal_at_different_widths():
         assert len({wide, p}) == 1
 
 
-# -- rows with a quarter step: mixed steps, offsets and the strided helper -----
+# -- rows by quarter residue: mixed steps, offsets and the strided helper -----
 
 t = BivariatePolynomial.term(1, qe=Fraction(1, 4))
 
@@ -219,8 +219,9 @@ def step_poly(rng, g, lo, z_free=False):
     return BivariatePolynomial(terms)
 
 
-def steps(p):
-    return {z: g for z, (lo, g, _) in p._rows.items()}
+def rows(p):
+    """The (z, quarter residue) keys of p's packed rows."""
+    return set(p._rows)
 
 
 def test_mixed_steps_and_offsets_match_sympy():
@@ -237,51 +238,55 @@ def test_mixed_steps_and_offsets_match_sympy():
 
 def test_steps_of_built_sums_and_products():
     one, q2 = BivariatePolynomial.term(1), BivariatePolynomial.term(1, qe=Fraction(1, 2))
-    assert steps(1 + q) == steps(q2) == {0: 4} and steps(1 + q2) == {0: 2}
-    assert steps(one + t) == {0: 1}  # two step-4 rows at residues 0 and 1
+    assert rows(1 + q) == {(0, 0)} and rows(q2) == {(0, 2)} and rows(1 + q2) == {(0, 0), (0, 2)}
+    assert rows(one + t) == {(0, 0), (0, 1)}  # two rows, at residues 0 and 1
     assert same(to_sympy(one + t), 1 + x)
-    assert steps((1 + q) * (1 + q2)) == {0: 2} and steps((1 + q) * (1 + t)) == {0: 1}
+    assert rows((1 + q) * (1 + q2)) == {(0, 0), (0, 2)}
+    assert rows((1 + q) * (1 + t)) == {(0, 0), (0, 1)}
     assert same(to_sympy((1 + q) * (1 + t)), (1 + x ** 4) * (1 + x))
     assert same(to_sympy((1 + q2) * (1 - t) + q2), (1 + x ** 2) * (1 - x) + x ** 2)
-    # a q^(1/2) between step-4 rows at residues 0 and 2 gives step 2
-    assert steps(q + q2 * q) == {0: 2} and (q + q2 * q).to_text() == "q + q^(3/2)"
+    # a q^(3/2) beside q is a second row, at residue 2
+    assert rows(q + q2 * q) == {(0, 0), (0, 2)} and (q + q2 * q).to_text() == "q + q^(3/2)"
 
 
 def test_sums_cancel_to_a_coarser_step_or_another_lo():
     q2 = BivariatePolynomial.term(1, qe=Fraction(1, 2))
-    # 1 + q^(1/4) + q carries step 1; taking q^(1/4) away leaves 1 + q at
-    # step 1, equal to the step-4 row of 1 + q
+    # 1 + q^(1/4) + q has rows at residues 0 and 1; taking q^(1/4) away
+    # drops the residue-1 row and leaves the one row of 1 + q
     coarse = (1 + t + q) - t
-    assert steps(coarse) == {0: 1} and steps(1 + q) == {0: 4}
+    assert rows(1 + t + q) == {(0, 0), (0, 1)} and coarse._rows == (1 + q)._rows
     assert coarse == 1 + q and 1 + q == coarse and hash(coarse) == hash(1 + q)
     assert coarse.terms == {(0, 0): 1, (0, 4): 1} and coarse.to_text() == "1 + q"
     assert coarse.has_integer_exponents() and not (coarse + t).has_integer_exponents()
     assert len({coarse, 1 + q, (1 + q2 + q) - q2}) == 1
-    # the lowest digits cancel at step 2: lo moves up by the step, not by 1
+    # the lowest digit of the residue-0 row cancels: its lo moves up by 4
     moved = (1 + q2 + q) - 1
-    assert moved._rows[0][:2] == (2, 2) and moved == q2 + q and moved.to_text() == "q^(1/2) + q"
+    assert {key: lo for key, (lo, _) in moved._rows.items()} == {(0, 0): 4, (0, 2): 2}
+    assert moved == q2 + q and moved.to_text() == "q^(1/2) + q"
     moved = (t + q2 + q * t) - t - q2
-    assert moved == q * t and moved._rows[0][0] == 5 and moved.coefficient(0, Fraction(5, 4)) == 1
-    # a different lo and a different step on several z-rows at once
+    assert moved == q * t and moved._rows[(0, 1)][0] == 5 and moved.coefficient(0, Fraction(5, 4)) == 1
+    assert rows(moved) == {(0, 1)}
+    # a moved lo and a cancelled residue on several z-rows at once
     z = BivariatePolynomial.term(1, ze=1)
     mixed = (z * (t + q) + (1 + q2)) - z * t - q2
     assert mixed == z * q + 1 and hash(mixed) == hash(z * q + 1)
-    assert steps(mixed) == {1: 1, 0: 2} and steps(z * q + 1) == {1: 4, 0: 4}
+    assert rows(mixed) == rows(z * q + 1) == {(1, 0), (0, 0)} and mixed._rows == (z * q + 1)._rows
     assert mixed != z * q + 2 and mixed != z * q + 1 + q and mixed != z * q2 + 1
 
 
 def test_equal_across_steps_random():
-    # the same value reached at steps 1, 2 and 4 is equal and hashes alike;
-    # one changed term breaks the equality at every step
+    # the same value reached through a quarter or a half power added and
+    # taken away has the same rows, is equal and hashes alike; one changed
+    # term breaks the equality
     rng = random.Random(31)
     for _ in range(40):
         p = step_poly(rng, 4, 4 * rng.randint(-2, 2))
         # a quarter and a half power on every z-row of p, added and taken away
-        quarter = BivariatePolynomial({(ze, 1): 1 for ze in p._rows})
+        quarter = BivariatePolynomial({(ze, 1): 1 for ze, _ in p._rows})
         finer = (p + quarter) - quarter
         middle = (p + quarter * t) - quarter * t
-        assert steps(p) == {z: 4 for z in p._rows}
-        assert steps(finer) == {z: 1 for z in p._rows} and steps(middle) == {z: 2 for z in p._rows}
+        assert all(r == 0 for _, r in p._rows)
+        assert finer._rows == middle._rows == p._rows
         assert p == finer == middle and hash(p) == hash(finer) == hash(middle)
         assert finer.to_json_obj() == p.to_json_obj()
         for other in (finer + q, finer + t, finer - q * finer, p * 2):
@@ -294,14 +299,14 @@ def test_exact_div_with_mixed_steps_matches_sympy():
         quot = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
         div = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
         assert same(to_sympy((quot * div).exact_div(div)), to_sympy(quot)), (quot, div)
-    # a step-4 numerator over a step-1 divisor has a step-1 quotient:
+    # a one-row numerator over a two-row divisor has a four-row quotient:
     # 1 - q = (1 - q^(1/4)) (1 + q^(1/4)) (1 + q^(1/2))
     got = (1 - q).exact_div(1 + t)
-    assert steps(got) == {0: 1} and same(to_sympy(got), (1 - x) * (1 + x ** 2))
-    # a step-1 numerator over a step-4 divisor
+    assert rows(got) == {(0, 0), (0, 1), (0, 2), (0, 3)} and same(to_sympy(got), (1 - x) * (1 + x ** 2))
+    # a two-row numerator over a one-row divisor
     got = ((1 + q) * (1 + t)).exact_div(1 + q)
-    assert got == 1 + t and steps(got) == {0: 1}
-    # a step-1 numerator that cancelled down to step 4 over a step-4 divisor
+    assert got == 1 + t and rows(got) == {(0, 0), (0, 1)}
+    # a numerator that cancelled down to one row over a one-row divisor
     got = ((1 + t + q * q) - t).exact_div(1 + q * q)
     assert got == 1
     assert (q * (1 + q) * (1 - q)).exact_div(1 - q * q).q_shift(-1) == 1
@@ -319,7 +324,7 @@ def test_integer_exponents_from_row_metadata():
     assert (1 + q).has_integer_exponents() and not (t + t * q).has_integer_exponents()
     assert not (1 + q2).has_integer_exponents() and ((1 + q2 + q) - q2).has_integer_exponents()
     assert ((1 + t) * (1 - t)).has_integer_exponents() is False
-    assert ((1 + t) * (1 - t) * (1 + q2)).has_integer_exponents()  # 1 - q at step 1
+    assert ((1 + t) * (1 - t) * (1 + q2)).has_integer_exponents()  # 1 - q
     assert BivariatePolynomial().has_integer_exponents()
 
 
