@@ -30,11 +30,11 @@ Each operator step costs about one diagram's worth of work, not k:
   the last diagram.  So ``_move`` makes one comparison, and only one
   message can apply.  ``EYDTuple(...)`` still checks every column, for
   every other caller.
-- A diagram computes its hash once, from its negated depths, and an
-  ``EYDTuple`` once, from its diagrams' hashes.  The canonical ``key()``
-  is no hash: CPython hashes -1 and -2 alike, and hashing the keys gave
-  3,803 distinct values over the 15,625 vertices of B_6(2Lambda_0 +
-  2Lambda_1).
+- Since equal diagrams are one object, a diagram compares and hashes by
+  identity, and an ``EYDTuple`` computes its hash once, from its
+  diagrams'.  The canonical ``key()`` is no hash: CPython hashes -1 and
+  -2 alike, and hashing the keys gave 3,803 distinct values over the
+  15,625 vertices of B_6(2Lambda_0 + 2Lambda_1).
 """
 from __future__ import annotations
 
@@ -98,8 +98,11 @@ class ExtendedYoungDiagram(Frozen):
     """Column sequence stored as the sub-charge prefix plus the charge;
     value-interned, with its geometry memoized on it (module docstring)."""
 
-    __slots__ = ("charge", "columns", "_hash", "_entries", "_added", "_removed", "_rows")
+    __slots__ = ("charge", "columns", "_entries", "_added", "_removed", "_rows")
     _fields = ("charge", "columns")
+    # interned: equal diagrams are one object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __new__(cls, charge: int, columns: tuple[int, ...]):
         # a bool or a float equals an int but is not a depth
@@ -121,8 +124,6 @@ class ExtendedYoungDiagram(Frozen):
             for name, value in (
                 ("charge", charge),
                 ("columns", columns),
-                # the negated depths are >= 0 and each hashes to itself
-                ("_hash", hash((charge,) + tuple(-y for y in columns))),
                 ("_entries", {}),
                 ("_added", {}),
                 ("_removed", {}),
@@ -130,9 +131,6 @@ class ExtendedYoungDiagram(Frozen):
             ):
                 object.__setattr__(Y, name, value)
         return Y
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @classmethod
     def make(cls, charge: int, columns) -> "ExtendedYoungDiagram":

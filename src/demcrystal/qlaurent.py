@@ -28,12 +28,13 @@ before the operation, so a digit never overflows.  A product of two rows
 is then one int multiply, a sum is a shift and an add, a q-shift moves lo
 (and with it the residue key), and exact division of one row by one row
 is one divmod (``exact_div`` states why its quotient is exact).
-``_restride`` moves digit i of a row to bit P*i with strided byte copies;
-it widens digits (P = 2B, 4B, ...) and spreads a row for q -> q^2
-(P = 2B).  Terms are decoded only at the boundary: text, JSON, term queries
-and hashing.  ``_join`` packs a row's digits and ``_unpack`` reads them
-back, as native machine words at B = 32 and 64 and byte by byte at wider
-B.  Coefficients are Python ints, so all arithmetic is exact at any size.
+``_restride`` widens the digits of a row to width P = 2B, 4B, ... with
+strided byte copies; equality compares rows re-packed at the wider of the
+two widths.  Terms are decoded only at the boundary: text, JSON, term
+queries, substitutions and hashing.  ``_join`` packs a row's digits and
+``_unpack`` reads them back, as native machine words at B = 32 and 64 and
+byte by byte at wider B.  Coefficients are Python ints, so all arithmetic
+is exact at any size.
 """
 from __future__ import annotations
 
@@ -137,15 +138,11 @@ def _join(digits, bits: int) -> int:
 
 
 def _restride(p: int, bits: int, period: int) -> int:
-    """The int whose digit at bit period*i is the i-th signed base-2^bits
-    digit of p, with zero digits between (period a multiple of bits).
-
-    With period = 2 * bits, 4 * bits, ... it widens the digits, or, kept
-    at the same width, spreads them s = period / bits times apart.  As in
-    ``_unpack``, each digit plus 2^(bits-1) is read as w = bits/8 bytes;
-    byte j of every digit is copied at once by one strided slice, into a
-    zeroed buffer whose digits are period/8 bytes apart, and the offsets
-    are taken off again.  With period = bits, p is returned as it is."""
+    """p with its signed base-2^bits digits widened to base 2^period, for
+    period = bits, 2 * bits, 4 * bits, ...  As in ``_unpack``, each digit
+    plus 2^(bits-1) is read as w = bits/8 bytes; byte j of every digit is
+    copied at once by one strided slice, into a zeroed buffer whose digits
+    are period/8 bytes apart, and the offsets are taken off again."""
     if period == bits:
         return p
     w = bits // 8
@@ -251,9 +248,8 @@ class BivariatePolynomial:
             other = BivariatePolynomial.term(other)
         if not isinstance(other, BivariatePolynomial):
             return NotImplemented
-        if self._bits == other._bits:  # rows are canonical at one width
-            return self._rows == other._rows
-        return self.terms == other.terms
+        bits = max(self._bits, other._bits)  # rows are canonical at one width
+        return self._at(bits) == other._at(bits)
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))
@@ -368,14 +364,8 @@ class BivariatePolynomial:
         return self._substitute(lambda z, q4: (0, 4 * z + 2 * q4))
 
     def subs_q_to_q2(self) -> "BivariatePolynomial":
-        """Substitute q = q^2: each row's exponents double, so its digits
-        are spread by 2, and the rows of residues r and r + 2 meet at
-        residue 2r mod 4, their exponents apart mod 8."""
-        bits = self._bits
-        out: dict[tuple[int, int], tuple[int, int]] = {}
-        for (z, r), (lo, p) in self._rows.items():
-            _add_row(out, (z, 2 * r % 4), 2 * lo, _restride(p, bits, 2 * bits), bits)
-        return _poly(out, self._norm, bits)
+        """Substitute q = q^2."""
+        return self._substitute(lambda z, q4: (z, 2 * q4))
 
     # -- exact division ----------------------------------------------------------
 

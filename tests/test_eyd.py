@@ -1,10 +1,11 @@
+import copy
 import pickle
 from collections import Counter
 
 import pytest
 
 from demcrystal import eyd
-from demcrystal.demazure import generate_crystal
+from demcrystal.demazure import export_graph, generate_crystal
 from demcrystal.eyd import (
     CONCAVE,
     CONVEX,
@@ -286,6 +287,20 @@ def test_values_are_frozen_and_compare_within_their_class():
     assert pickle.loads(pickle.dumps(G)) == G
 
 
+def test_every_diagram_constructor_returns_the_interned_diagram():
+    # diagrams compare and hash by identity, which is value equality only
+    # while every way of making a diagram hands back the interned one
+    diagrams = {Y for T in generate_crystal(Weight(2, 1, 0), 4).vertices for Y in T.diagrams}
+    assert len(diagrams) > 20 and {Y.charge for Y in diagrams} == {0, 1}
+    for Y in diagrams:
+        assert ExtendedYoungDiagram.make(Y.charge, Y.columns) is Y
+        assert ExtendedYoungDiagram.make(Y.charge, Y.columns + (Y.charge,) * 2) is Y
+        assert ExtendedYoungDiagram(Y.charge, list(Y.columns)) is Y
+        assert ExtendedYoungDiagram.from_json_obj(Y.to_json_obj()) is Y
+        assert pickle.loads(pickle.dumps(Y)) is Y
+        assert copy.copy(Y) is Y and copy.deepcopy(Y) is Y
+
+
 def test_kernel_caches_hold_tuples_and_change_no_result(monkeypatch):
     # the kernel's memos live on the diagrams: per position the signature
     # entries, per column the moved diagrams, per window the parity rows
@@ -313,3 +328,7 @@ def test_kernel_caches_hold_tuples_and_change_no_result(monkeypatch):
     assert {(a.key(), i, b.key()) for a, i, b in cold.edges} == {
         (a.key(), i, b.key()) for a, i, b in warm.edges
     }
+    # the fresh diagrams hash apart from the old ones, so the vertex sets
+    # iterate in another order; every export is byte-identical all the same
+    for fmt in ("table", "json", "dot"):
+        assert export_graph(cold, fmt) == export_graph(warm, fmt), fmt

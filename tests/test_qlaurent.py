@@ -299,6 +299,39 @@ def test_rows_are_canonical():
         assert built == value and not built != value
 
 
+def test_equality_across_widths_decodes_nothing(monkeypatch):
+    # == re-packs the narrower operand's rows at the wider width and
+    # compares rows; it never decodes either side to terms
+    t, q, z = qpow(Fraction(1, 4)), qpow(1), zpow(1)
+    big = BivariatePolynomial.term(1 << 40, ze=3, qe=7)
+
+    def wider(p):
+        return (p + big) - big
+
+    values = [
+        1 + t - 3 * q * q + qpow(Fraction(-1, 2)),  # one z-power, three residues
+        z * (1 - q) + zpow(-2) * t - 5 * z * q.shift_quarters(6),  # z-rows
+        q.shift_quarters(-9),
+        ONE,
+    ]
+    changes = [ONE, t, z, -q * q, zpow(-2) * qpow(Fraction(1, 4))]
+    pairs = []
+    for p in values:
+        assert wider(p)._bits > p._bits and hash(wider(p)) == hash(p)
+        pairs += [(p, wider(p), True)]
+        pairs += [(p, wider(p + d), False) for d in changes]
+        pairs += [(wider(p), p - d, False) for d in changes]
+
+    def refuse(self):
+        raise AssertionError("== decoded terms")
+
+    monkeypatch.setattr(BivariatePolynomial, "terms", property(refuse))
+    for a, b, equal in pairs:
+        assert a._bits != b._bits
+        assert (a == b) is (b == a) is equal and (a != b) is not equal, (a, b)
+    assert wider(ONE) == 1 and wider(ONE) != 2
+
+
 def test_library_divisions_stay_packed(monkeypatch):
     # every exact_div the library makes divides one row by one row; only
     # operands that mix quarter residues reach the fallback, which

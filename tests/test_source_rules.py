@@ -6,7 +6,9 @@ verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 the fermionic F-sum built on another of them, and no Demazure character
 route built on another; no memo on any cross-checked character route,
 crystal operator, crystal generator or path weight; no room for one on a
-diagram tuple; and a route table that matches its hand-written pin."""
+diagram tuple; a route table that matches its hand-written pin; and no
+default argument but a constant, so no function binds a route, or any
+other object, when it is defined."""
 import ast
 from pathlib import Path
 
@@ -163,6 +165,52 @@ def test_route_rule_catches_the_pattern():
         (6, "f_bosonic names ch_via_f"),
         (14, "demazure_ch_oracle names demazure_ch"),
     ]
+
+
+# A default is evaluated once, when its function is defined.  A route named
+# as a default, as in ch_via_f(lam, L, f_impl=f_recursive), would be bound
+# then, so a patched or stubbed module global would never reach the call;
+# a mutable default would be shared by every call.  Defaults are None, an
+# int, a str, a bool or the empty tuple, and a function that wants a route
+# looks the route up when it is called.
+CONSTANT_DEFAULTS = (type(None), int, str, bool)
+
+
+def nonconstant_defaults(tree):
+    """(line, what) for each default argument, of a def or a lambda, that
+    is neither a constant of CONSTANT_DEFAULTS nor the empty tuple."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            for d in node.args.defaults + [d for d in node.args.kw_defaults if d is not None]:
+                try:
+                    value = ast.literal_eval(d)
+                except ValueError:  # a name, an attribute, a call, ...
+                    value = d
+                if type(value) not in CONSTANT_DEFAULTS and value != ():
+                    yield d.lineno, f"default {ast.unparse(d)}"
+
+
+def test_defaults_are_constants():
+    found = []
+    for path in SOURCES:
+        found += [f"{path.name}:{line}: {what}" for line, what in nonconstant_defaults(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def test_default_rule_catches_the_pattern():
+    source = (
+        "def ch_via_f(lam, L, f_impl=f_recursive):\n    pass\n"
+        "def ok(a=None, b=0, c='x', d=True, e=(), *, f=None, g):\n    pass\n"
+        "def bad(a=[], b={}, *, c=(1,), d=ch.f_bosonic):\n    pass\n"
+        "key = lambda z, q4, f=f_recursive: f(z)\n"
+        "def other(a=0.5, b=-1, c=b'x', d=frozenset()):\n    pass\n"
+    )
+    assert sorted(nonconstant_defaults(ast.parse(source))) == sorted([
+        (1, "default f_recursive"),
+        (5, "default []"), (5, "default {}"), (5, "default (1,)"), (5, "default ch.f_bosonic"),
+        (7, "default f_recursive"),
+        (8, "default 0.5"), (8, "default b'x'"), (8, "default frozenset()"),
+    ])
 
 
 # The route table, pinned by hand: name -> (least L, whether it gives the path
