@@ -14,6 +14,11 @@ c.  Both caches hold pure functions of their arguments, never a value of
 f, so the fermionic F-sum, which walks the same vectors, still cannot
 read a result of any f route.  The routes themselves are not memoized,
 except f_recursive, whose recursion reads its own earlier values.
+
+One way to sum.  Every route collects its terms as (polynomial, quarter
+shift) pairs and sums them in one ``qlaurent.shifted_sum`` call, which
+builds no shifted copy and no partial sum; the bosonic route makes one
+call per i, with that i's terms of each sign, and one over the products.
 """
 from __future__ import annotations
 
@@ -29,7 +34,7 @@ from .qlaurent import (
     gaussian,
     q_multinomial,
     qpoch,
-    qpow,
+    shifted_sum,
 )
 from .weights import (
     Weight,
@@ -57,12 +62,12 @@ def f_recursive(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         return ONE if b == 0 else ZERO
     if abs(b) > L * k:  # unreachable from the L = 0 seed
         return ZERO
-    out = ZERO
+    terms = []
     for d in range(b - k, b + k + 1, 2):
         inner = f_recursive(k, L - 1, d, b)
         if inner:
-            out = out + inner.shift_quarters(L * abs(d - c))
-    return out
+            terms.append((inner, L * abs(d - c)))
+    return shifted_sum(terms)
 
 
 # -- route 2: bosonic double sum ----------------------------------------------------
@@ -111,23 +116,20 @@ def f_bosonic(k: int, L: int, b: int, c: int,
     # one product with gaussian(L-1, i); gaussian(L, j) vanishes outside 0..L.
     j_plus = range(min((L + mu - 1) // 2, L) + 1)
     j_minus = range(max(-(-(L + mu + 1) // 2), 0), L + 1)
-    num = ZERO
+    products = []
     for i in range(L):  # gaussian(L-1, i) vanishes outside 0..L-1
         plus = 2 * i >= L + nu
         js = j_plus if plus else j_minus
         # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L;
-        # the terms of each sign are summed apart, so one subtraction signs them
+        # the j-terms are sorted by sign and summed in one shifted_sum
         A = 2 * i - L + 1
-        pos = neg = ZERO
+        pos, neg = [], []
         for j in js:
             B = 2 * j - L
-            term = gaussian(L, j).shift_quarters(2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B)
-            if ((i + j) % 2 == 0) == plus:
-                pos = pos + term
-            else:
-                neg = neg + term
-        num = num + gaussian(L - 1, i) * (pos - neg)
-    return num.exact_div(qpoch(L - 1))
+            term = (gaussian(L, j), 2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B)
+            (pos if ((i + j) % 2 == 0) == plus else neg).append(term)
+        products.append((gaussian(L - 1, i) * shifted_sum(pos, neg), 0))
+    return shifted_sum(products).exact_div(qpoch(L - 1))
 
 
 # -- route 3: fermionic multinomial sum ------------------------------------------------
@@ -169,7 +171,7 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         return ZERO
     base = L * L * k - L * (b - c + k) + b  # 4 times the constant part of Q
     thr = (c - b + k) // 2
-    out = ZERO
+    terms = []
     for xs in occupation_vectors(k, L, b):
         # Q = -sum_{a < a2} (a2 - a) x_a x_a2 + sum_{a >= thr} (a - thr) x_a,
         # the pair sum read off the count n and weight w of the letters below a
@@ -181,8 +183,8 @@ def f_fermionic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
                 w += a * x
                 if a >= thr:
                     Q += (a - thr) * x
-        out = out + q_multinomial(L, xs).shift_quarters(base + 4 * Q)
-    return out
+        terms.append((q_multinomial(L, xs), base + 4 * Q))
+    return shifted_sum(terms)
 
 
 # -- route 4: rank reduction -----------------------------------------------------------
@@ -197,14 +199,13 @@ def f_rank_reduction(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
         raise ValueError("(b, c) is not weakly admissible")
     if L == 0:
         return ONE if b == 0 else ZERO
-    out = ZERO
+    terms = []
     for i in range(L + 1):
         inner = f_recursive(k - 1, L - i, b + (k + 1) * i - L, c + (k + 1) * i - L + 1)
-        if not inner:
-            continue
-        e4 = L * (L - 1) - (k - 1) * i * i - (2 * L + b + c - 1) * i
-        out = out + (gaussian(L, i) * inner).shift_quarters(e4)
-    return out
+        if inner:
+            e4 = L * (L - 1) - (k - 1) * i * i - (2 * L + b + c - 1) * i
+            terms.append((gaussian(L, i) * inner, e4))
+    return shifted_sum(terms)
 
 
 # -- path characters ----------------------------------------------------------------
@@ -225,14 +226,15 @@ def ch_via_f(lam: Weight, L: int, f_impl=None) -> BivariatePolynomial:
     s, t = lam.a0, lam.a1
     k = s + t
     eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
-    out = ZERO
+    terms = []
     base = eL * (s - t)
     j_lo = -((L * k - base) // 2)
     j_hi = (L * k + base) // 2
     for j in range(j_lo, j_hi + 1):
         f = f_impl(k, L, base - 2 * j, eL1 * (s - t) - 2 * j)
         if f:
-            out = out + f.shift_quarters(2 * j).z_shift(-j)
+            terms.append((f.z_shift(-j), 2 * j))
+    out = shifted_sum(terms)
     if not out.has_integer_exponents():
         raise ValueError("path character came out with non-integer exponents")
     return out
@@ -249,15 +251,15 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
     s, t = lam.a0, lam.a1
     k = s + t
     unit = s if L % 2 == 0 else t
-    out = ZERO
+    terms = []
     for full in occupation_vectors(k, L, epsilon_L(L) * (s - t) - 2 * j):
         xs = full[1:k]
         # 4k e = 4 x(kC^{-1})x + 4j(j + t) - 4 (kC^{-1} x)_unit; the unit
         # column vanishes at unit = 0 and unit = k
         e4k = 4 * (_cartan_form(k, xs) + j * (j + t)
                    - sum(min(i, unit) * (k - max(i, unit)) * x for i, x in enumerate(xs, start=1)))
-        out = out + q_multinomial(L, full).shift_quarters(_quarters_over(e4k, k))
-    return out
+        terms.append((q_multinomial(L, full), _quarters_over(e4k, k)))
+    return shifted_sum(terms)
 
 
 def _cartan_form(k: int, xs) -> int:
@@ -293,11 +295,11 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
     # layer m is ch_{L-1} at Lambda moved m steps toward k Lambda_1 ("+") or
     # k Lambda_0 ("-"): the "-" sum is the "+" sum with Lambda_0, Lambda_1 swapped
     n, flip = (s, 1) if sign == "+" else (t, -1)
-    out = ZERO
-    for m in range(n + 1):
-        part = ch_via_f(Weight(s - flip * m, t + flip * m, 0), L - 1)
-        out = out + part.q_shift((L + flip * e) // 2 * m).z_shift(-flip * e * m)
-    return out
+    return shifted_sum(
+        (ch_via_f(Weight(s - flip * m, t + flip * m, 0), L - 1).z_shift(-flip * e * m),
+         4 * ((L + flip * e) // 2 * m))
+        for m in range(n + 1)
+    )
 
 
 def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
@@ -329,10 +331,7 @@ ROUTES = {
 
 def q_bracket(a: int) -> BivariatePolynomial:
     """[a] = 1 + q + ... + q^{a-1}."""
-    out = ZERO
-    for j in range(a):
-        out = out + qpow(j)
-    return out
+    return shifted_sum((ONE, 4 * j) for j in range(a))
 
 
 def real_character_check(lam: Weight, L: int) -> bool:
@@ -353,12 +352,12 @@ def principal_rhs(k: int, L: int) -> BivariatePolynomial:
     the occupation."""
     if L < 0:
         raise ValueError("requires L >= 0")
-    out = ZERO
+    terms = []
     for T in range(-L * k, L * k + 1, 2):
         for xs in occupation_vectors(k, L, T):
             e4k = 2 * T * (T + k) + 8 * _cartan_form(k, xs[1:k])
-            out = out + q_multinomial(L, xs).subs_q_to_q2().shift_quarters(_quarters_over(e4k, k))
-    return out
+            terms.append((q_multinomial(L, xs).subs_q_to_q2(), _quarters_over(e4k, k)))
+    return shifted_sum(terms)
 
 
 def principal_character_check(k: int, L: int) -> bool:
@@ -376,15 +375,15 @@ def sanderson_rhs(k: int, L: int) -> BivariatePolynomial:
     depend on their order."""
     if L < 0:
         raise ValueError("requires L >= 0")
-    out = ZERO
+    terms = []
     for b in range(-L * k, L * k + 1, 2):
         for gaps in occupation_vectors(k, L, b):
             e, i = 0, 0
             for g in gaps[:k]:
                 i += g
                 e += i * (i + 1) // 2
-            out = out + q_multinomial(L, gaps).q_shift(e)
-    return out
+            terms.append((q_multinomial(L, gaps), 4 * e))
+    return shifted_sum(terms)
 
 
 def sanderson_identity_check(k: int, L: int) -> bool:

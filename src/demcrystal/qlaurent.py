@@ -25,9 +25,11 @@ all its terms, and its digit width B is the smallest of 32, 64, 128, ...
 with N < 2^(B-1).  Sums and products carry the bound along (N1 + N2 and
 N1 * N2); when that needs a wider B, the operands are re-packed wider
 before the operation, so a digit never overflows.  A product of two rows
-is then one int multiply, a sum is a shift and an add, a q-shift moves lo
-(and with it the residue key), and exact division of one row by one row
-is one divmod (``exact_div`` states why its quotient is exact).
+is then one int multiply, a sum is a shift and an add (``shifted_sum``
+adds any number of q-shifted operands, plus and minus, at one width into
+one row dict), a q-shift moves lo (and with it the residue key), and
+exact division of one row by one row is one divmod (``exact_div`` states
+why its quotient is exact).
 ``_restride`` widens the digits of a row to width P = 2B, 4B, ... with
 strided byte copies; equality compares rows re-packed at the wider of the
 two widths.  Terms are decoded only at the boundary: text, JSON, term
@@ -485,6 +487,29 @@ class BivariatePolynomial:
             c = t["c"]
             terms[key] = int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
         return cls(terms)
+
+
+def shifted_sum(plus, minus=()) -> BivariatePolynomial:
+    """Sum of poly * q^(q4/4) over the (poly, q4) pairs in plus, minus the
+    same sum over minus, for int (not bool) q4.
+
+    The bound is the sum of the operands' bounds, as for the chain ZERO +
+    p1 * q^(e1/4) + ... - ... when no partial sum of it vanishes; every
+    operand's rows are re-packed once at that bound's width and added,
+    shifted, into one row dict, so no shifted copy and no partial sum is
+    built."""
+    plus, minus = list(plus), list(minus)
+    norm = sum(p._norm for p, _ in plus) + sum(p._norm for p, _ in minus)
+    bits = _width(norm)
+    rows: dict[tuple[int, int], tuple[int, int]] = {}
+    for terms, negate in ((plus, False), (minus, True)):
+        for p, q4 in terms:
+            if type(q4) is not int:
+                raise TypeError(f"quarter shift {q4!r} is not an int")
+            for (z, _), (lo, d) in p._at(bits).items():
+                lo += q4
+                _add_row(rows, (z, lo % 4), lo, -d if negate else d, bits)
+    return _poly(rows, norm, bits)
 
 
 ZERO = BivariatePolynomial()

@@ -178,6 +178,32 @@ def test_F_sum_needs_no_f_route(monkeypatch):
             assert total == ch_path_bruteforce(lam, L)
 
 
+def test_summing_routes_make_no_shifted_copy(monkeypatch):
+    """Every route sums its shifted terms through shifted_sum: with both
+    q-shifts refusing to run, each gives the value it gave before."""
+    lam = Weight(2, 1, 0)
+    cases = [(route, args) for route in (f_recursive, f_bosonic, f_fermionic)
+             for args in ((1, 3, 1, 0), (3, 4, 2, 1), (4, 5, -2, 2))]
+    cases += [(f_rank_reduction, args) for args in ((2, 3, 2, 0), (3, 4, 0, 1), (4, 4, 2, 0))]
+    cases += [(F_fermionic, (lam, L, j)) for L in (2, 3) for j in (-1, 0, 2)]
+    cases += [(ch_via_f, (lam, 3, route)) for route in (None, f_bosonic, f_fermionic)]
+    cases += [(demazure_ch, (lam, sign, 3)) for sign in "+-"]
+    cases += [(rhs, (3, 3)) for rhs in (principal_rhs, sanderson_rhs)]
+    f_recursive.cache_clear()
+    want = [route(*args) for route, args in cases]
+    assert all(want)
+
+    def refuse(self, shift):
+        raise AssertionError("a route built a shifted copy")
+
+    for name in ("shift_quarters", "q_shift"):
+        monkeypatch.setattr(characters.BivariatePolynomial, name, refuse)
+    f_recursive.cache_clear()
+    for (route, args), value in zip(cases, want):
+        assert route(*args) == value, (route.__name__, args)
+    f_recursive.cache_clear()
+
+
 def test_demazure_anchor():
     lam = Weight(2, 0, 0)
     want = ONE + zpow(-1) * qpow(1) + zpow(-2) * qpow(2)

@@ -13,6 +13,7 @@ from demcrystal.qlaurent import (
     q_multinomial,
     qpoch,
     qpow,
+    shifted_sum,
     verify_gaussian_lemma,
     zpow,
 )
@@ -351,6 +352,22 @@ def test_library_divisions_stay_packed(monkeypatch):
     for M in range(-5, 10):
         for i in range(1, 7):
             assert fresh(M, i) == fresh(M - 1, i - 1) + qpow(i) * fresh(M - 1, i), (M, i)
+
+
+def test_shifted_sum_edges():
+    # no operand, or only zero ones, gives the zero polynomial; a quarter
+    # shift that is not an int is refused, on a zero operand too
+    p = 1 + qpow(Fraction(1, 4)) - 3 * zpow(2)
+    for plus, minus in [((), ()), ([], [(ZERO, 3)]), ([(p, 5)], [(p, 5)]), ([(p, 1), (-p, 1)], [])]:
+        got = shifted_sum(plus, minus)
+        assert not got and (got._rows, got._norm, got._bits) == (ZERO._rows, ZERO._norm, ZERO._bits)
+    assert shifted_sum(iter([(p, 2)]), iter([(ONE, 0)])) == p.shift_quarters(2) - 1
+    for q4 in (True, 1.0, Fraction(1), Fraction(1, 4), "1/4"):
+        for operand in (p, ZERO):
+            with pytest.raises(TypeError, match="is not an int"):
+                shifted_sum([(operand, q4)])
+            with pytest.raises(TypeError, match="is not an int"):
+                shifted_sum([(ONE, 0)], [(operand, q4)])
 
 
 def test_substitutions():
