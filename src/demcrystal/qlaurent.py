@@ -5,10 +5,9 @@ q-exponent r is the int 4r, its count of quarters, and the constructor
 takes terms in that form, {(z-exponent, 4r): coefficient} with int (not
 bool) keys and coefficients, the form ``terms`` returns.  Rational
 q-exponents are accepted only at the public boundary (``term``, ``qpow``,
-``q_shift``, ``coefficient``, ``from_json_obj``), where ``_quarters``
-converts them and raises ValueError for any denominator that does not
-divide 4.  ``to_text`` and ``to_json_obj`` print quarters back as reduced
-fractions.
+``q_shift``), where ``_quarters`` converts an int or a Fraction and
+raises ValueError for any denominator that does not divide 4.
+``to_text`` and ``to_json_obj`` print quarters back as reduced fractions.
 
 Packed rows (Kronecker substitution).  The terms c_e z^a q^(e/4) of one
 z-power a whose quarter exponents e share one residue r = e mod 4 are
@@ -27,9 +26,9 @@ N1 * N2); when that needs a wider B, the operands are re-packed wider
 before the operation, so a digit never overflows.  A product of two rows
 is then one int multiply, a sum is a shift and an add (``shifted_sum``
 adds any number of q-shifted operands, plus and minus, at one width into
-one row dict), a q-shift moves lo (and with it the residue key), and
-exact division of one row by one row is one divmod (``exact_div`` states
-why its quotient is exact).
+one row dict; ``+`` and ``-`` are its two-operand case), a q-shift moves
+lo (and with it the residue key), and exact division of one row by one
+row is one divmod (``exact_div`` states why its quotient is exact).
 ``_restride`` widens the digits of a row to width P = 2B, 4B, ... with
 strided byte copies; equality compares rows re-packed at the wider of the
 two widths.  Terms are decoded only at the boundary: text, JSON, term
@@ -40,7 +39,6 @@ is exact at any size.
 """
 from __future__ import annotations
 
-import re
 import sys
 from array import array
 from functools import lru_cache
@@ -49,31 +47,18 @@ from math import gcd
 
 def _quarters(value) -> int:
     """4 * value as an int; the single check on q-exponents entering the
-    ring: an int (not a bool), a Fraction or the str n/d that JSON carries.
-    The str is split and reduced here, so importing the ring loads neither
-    ``fractions`` nor the ``decimal`` module it pulls in; a Fraction's
-    class is imported only once a value that is neither int nor str comes."""
+    ring: an int (not a bool) or a Fraction.  The Fraction class is
+    imported only once a value that is not an int comes, so importing the
+    ring loads neither ``fractions`` nor the ``decimal`` module it pulls in."""
     if type(value) is int:
         return 4 * value
-    if isinstance(value, str):
-        if not _RATIO.fullmatch(value):
-            raise ValueError(f"q-exponent {value!r} is not written n/d with d > 0")
-        num, den = map(int, value.split("/"))
-        common = gcd(num, den)
-        num, den = num // common, den // common
-    else:
-        from fractions import Fraction
-        if not isinstance(value, Fraction):
-            raise TypeError(f"q-exponent {value!r} is not an int, a Fraction or a str")
-        num, den = value.numerator, value.denominator
+    from fractions import Fraction
+    if not isinstance(value, Fraction):
+        raise TypeError(f"q-exponent {value!r} is not an int or a Fraction")
+    num, den = value.numerator, value.denominator
     if 4 % den:
         raise ValueError(f"q-exponent {num}/{den} does not have denominator 1, 2 or 4")
     return num * (4 // den)
-
-
-# a coefficient and a q-exponent as to_json_obj writes them, in ASCII digits
-_DECIMAL = re.compile(r"-?[0-9]+")
-_RATIO = re.compile(r"-?[0-9]+/[0-9]*[1-9][0-9]*")
 
 
 def _reduced(q4: int) -> tuple[int, int]:
@@ -180,6 +165,14 @@ def _add_row(rows: dict, key: tuple, lo: int, p: int, bits: int) -> None:
     rows[key] = (lo0, s)
 
 
+def _operand(other):
+    """other as a polynomial, an int (not a bool) as a constant; None for
+    any other type, which the operators answer with NotImplemented."""
+    if isinstance(other, BivariatePolynomial):
+        return other
+    return BivariatePolynomial.term(other) if type(other) is int else None
+
+
 def _poly(rows: dict, norm: int, bits: int) -> "BivariatePolynomial":
     """The polynomial with these rows, packed at width bits == _width(norm)."""
     res = object.__new__(BivariatePolynomial)
@@ -246,9 +239,8 @@ class BivariatePolynomial:
         return bool(self._rows)
 
     def __eq__(self, other) -> bool:
-        if type(other) is int:
-            other = BivariatePolynomial.term(other)
-        if not isinstance(other, BivariatePolynomial):
+        other = _operand(other)
+        if other is None:
             return NotImplemented
         bits = max(self._bits, other._bits)  # rows are canonical at one width
         return self._at(bits) == other._at(bits)
@@ -262,20 +254,10 @@ class BivariatePolynomial:
     # -- ring operations --------------------------------------------------------
 
     def __add__(self, other) -> "BivariatePolynomial":
-        if not isinstance(other, BivariatePolynomial):
-            if type(other) is not int:
-                return NotImplemented
-            other = BivariatePolynomial.term(other)
-        if not other._rows:
-            return self
-        if not self._rows:
-            return other
-        norm = self._norm + other._norm
-        bits = _width(norm)
-        out = dict(self._at(bits))
-        for key, (lo, p) in other._at(bits).items():
-            _add_row(out, key, lo, p, bits)
-        return _poly(out, norm, bits)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return shifted_sum(((self, 0), (other, 0)))
 
     __radd__ = __add__
 
@@ -284,18 +266,21 @@ class BivariatePolynomial:
         return _poly(rows, self._norm, self._bits)
 
     def __sub__(self, other) -> "BivariatePolynomial":
-        if type(other) is bool:  # -True is the int -1, which + would take
+        other = _operand(other)
+        if other is None:
             return NotImplemented
-        return self + (-other)  # + refuses what is neither int nor polynomial
+        return shifted_sum(((self, 0),), ((other, 0),))
 
-    def __rsub__(self, other):
-        return (-self) + other
+    def __rsub__(self, other) -> "BivariatePolynomial":
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
+        return shifted_sum(((other, 0),), ((self, 0),))
 
     def __mul__(self, other) -> "BivariatePolynomial":
-        if not isinstance(other, BivariatePolynomial):
-            if type(other) is not int:
-                return NotImplemented
-            other = BivariatePolynomial.term(other)
+        other = _operand(other)
+        if other is None:
+            return NotImplemented
         norm = self._norm * other._norm
         bits = max(self._bits, other._bits, _width(norm))
         out: dict[tuple[int, int], tuple[int, int]] = {}
@@ -324,9 +309,6 @@ class BivariatePolynomial:
 
     # -- queries and transforms ---------------------------------------------------
 
-    def coefficient(self, ze: int = 0, qe=0) -> int:
-        return self.terms.get((ze, _quarters(qe)), 0)
-
     def is_z_free(self) -> bool:
         return all(ze == 0 for ze, _ in self._rows)
 
@@ -336,10 +318,7 @@ class BivariatePolynomial:
 
     def q_shift(self, qe) -> "BivariatePolynomial":
         """Multiply by q^qe."""
-        return self.shift_quarters(_quarters(qe))
-
-    def shift_quarters(self, q4: int) -> "BivariatePolynomial":
-        """Multiply by q^(q4/4) for an int q4."""
+        q4 = _quarters(qe)
         rows = {(z, (lo + q4) % 4): (lo + q4, p) for (z, _), (lo, p) in self._rows.items()}
         return _poly(rows, self._norm, self._bits)
 
@@ -374,20 +353,17 @@ class BivariatePolynomial:
     def exact_div(self, divisor: "BivariatePolynomial") -> "BivariatePolynomial":
         """Exact quotient self / divisor for z-free operands.
 
-        Raises ValueError when either operand involves z or the division
-        leaves a remainder.
+        Raises ValueError when either operand involves z or mixes quarter
+        residues, or when the division leaves a remainder.
 
-        One row over one row (each operand of a single residue) is divided
-        packed.  Then self = q^(a/4) N(q) and divisor = q^(b/4) D(q), with N,
-        D polynomials whose constant terms are non-zero.  A Laurent
-        polynomial in t = q^(1/4) is uniquely R0 + t R1 + t^2 R2 + t^3 R3
-        with every Ri a Laurent polynomial in q, so N = D * R splits by
-        residue into N = D * R0 and D * Ri = 0 for i > 0: N / D is one in t
-        exactly when it is a polynomial P in q (no negative power, as N(0)
-        and D(0) are non-zero), and the quotient is q^((a-b)/4) P(q).
-        Operands that mix residues are divided as polynomials in t, each
-        quarter exponent re-read as an exponent of q; no division that the
-        library makes takes this route.
+        Each operand is one row, of a single residue: self = q^(a/4) N(q)
+        and divisor = q^(b/4) D(q), with N, D polynomials whose constant
+        terms are non-zero.  A Laurent polynomial in t = q^(1/4) is uniquely
+        R0 + t R1 + t^2 R2 + t^3 R3 with every Ri a Laurent polynomial in q,
+        so N = D * R splits by residue into N = D * R0 and D * Ri = 0 for
+        i > 0: N / D is one in t exactly when it is a polynomial P in q (no
+        negative power, as N(0) and D(0) are non-zero), and the quotient is
+        q^((a-b)/4) P(q).
 
         Both rows N and D are read at one width B and their packed ints
         divided once.  A polynomial quotient would divide them exactly at
@@ -408,15 +384,11 @@ class BivariatePolynomial:
         if not self:
             return ZERO
         if len(self._rows) > 1 or len(divisor._rows) > 1:
-            n, d = (p._substitute(lambda z, q4: (z, 4 * q4)) for p in (self, divisor))
-            return n.exact_div(d)._substitute(lambda z, q4: (z, q4 // 4))
-
-        (lo_n, n0), = self._rows.values()
-        (lo_d, d0), = divisor._rows.values()
+            raise ValueError("exact_div is only defined for operands of one quarter residue")
         bits = max(self._bits, divisor._bits)
         while True:
-            n = _restride(n0, self._bits, bits)
-            d = _restride(d0, divisor._bits, bits)
+            (lo_n, n), = self._at(bits).values()
+            (lo_d, d), = divisor._at(bits).values()
             quot, rem = divmod(n, d)
             if rem:
                 raise ValueError("inexact polynomial division")
@@ -472,21 +444,6 @@ class BivariatePolynomial:
             {"ze": ze, "qe": "%d/%d" % _reduced(q4), "c": str(c)}
             for (ze, q4), c in self.sorted_terms()
         ]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "BivariatePolynomial":
-        """The polynomial ``to_json_obj`` wrote; two terms with the same
-        exponents raise ValueError, since one of them would be lost, and the
-        constructor refuses a ze or c that is not an int (c may also be the
-        decimal str ``to_json_obj`` writes)."""
-        terms = {}
-        for t in obj:
-            key = (t["ze"], _quarters(t["qe"]))
-            if key in terms:
-                raise ValueError(f"two terms with ze={key[0]}, qe={t['qe']}")
-            c = t["c"]
-            terms[key] = int(c) if type(c) is str and _DECIMAL.fullmatch(c) else c
-        return cls(terms)
 
 
 def shifted_sum(plus, minus=()) -> BivariatePolynomial:

@@ -46,7 +46,7 @@ def test_term_canonicalization():
     p = BivariatePolynomial.term(3, ze=1) + BivariatePolynomial.term(-3, ze=1)
     assert p == ZERO
     assert not p
-    assert ZERO.coefficient() == 0
+    assert ZERO.terms == {}
 
 
 def test_quarter_exponents_only():
@@ -55,30 +55,16 @@ def test_quarter_exponents_only():
             BivariatePolynomial.term(1, qe=bad)
         with pytest.raises(ValueError):
             ONE.q_shift(bad)
-        with pytest.raises(ValueError):
-            ONE.coefficient(qe=bad)
-        with pytest.raises(ValueError):
-            BivariatePolynomial.from_json_obj([{"ze": 0, "qe": str(bad), "c": "1"}])
 
 
 def test_only_exact_exponents_and_operands():
     # qpow(0.25) was q^(1/4), ONE.q_shift(True) was q, and ONE + 1.5 raised
-    # AttributeError
-    for call in (qpow, ONE.q_shift, lambda qe: ONE.coefficient(qe=qe)):
-        for bad in (0.25, 1.0, True, None):
+    # AttributeError; a q-exponent is an int or a Fraction, never the str
+    # n/d that to_json_obj writes
+    for call in (qpow, ONE.q_shift, lambda qe: BivariatePolynomial.term(1, qe=qe)):
+        for bad in (0.25, 1.0, True, None, "3/4", "1"):
             with pytest.raises(TypeError):
                 call(bad)
-    with pytest.raises(TypeError):
-        BivariatePolynomial.from_json_obj([{"ze": 0, "qe": 0.5, "c": "1"}])
-    assert qpow("3/4") == qpow(Fraction(3, 4))  # the str JSON carries
-    assert qpow("-3/4") == qpow(Fraction(-3, 4)) and qpow("0/1") == ONE
-    # any str Fraction reads was taken: "1_0/4" as q^(5/2), and "1/0" raised
-    # ZeroDivisionError
-    for bad in ("0.25", "1e0", "1_0/4", "\uff13/4", " 1/4", "+1/4", "1/0", "1/00", "1"):
-        with pytest.raises(ValueError):
-            qpow(bad)
-        with pytest.raises(ValueError):
-            BivariatePolynomial.from_json_obj([{"ze": 0, "qe": bad, "c": "1"}])
     # (1 + z).z_shift(0.5) was z^0.5 + z^1.5, and z_shift(True) was z_shift(1)
     # (1 + z) ** True was 1 + z, and ** 2.0 died in an internal &
     for bad in (0.5, 1.0, True, None, Fraction(1)):
@@ -98,16 +84,6 @@ def test_only_exact_exponents_and_operands():
                   {(0, 0): 0.0}):
         with pytest.raises(TypeError, match="is not an int"):
             BivariatePolynomial(terms)
-    # the JSON reader truncated {"ze": 0.9, "qe": "1/2", "c": 1.5} to q^(1/2)
-    # and read a ze or c of true as 1
-    for term in ({"ze": 0.9, "c": "1"}, {"ze": True, "c": "1"}, {"ze": "0", "c": "1"},
-                 {"ze": 0, "c": 1.5}, {"ze": 0, "c": True}, {"ze": 0, "c": "1.5"},
-                 {"ze": 0, "c": " 1"}, {"ze": 0, "c": "1_0"}, {"ze": 0, "c": "--1"}):
-        with pytest.raises(TypeError):
-            BivariatePolynomial.from_json_obj([{"qe": "1/2", **term}])
-    for c in ("-12", -12):
-        assert BivariatePolynomial.from_json_obj([{"ze": 0, "qe": "1/2", "c": c}]) == \
-            -12 * qpow(Fraction(1, 2))
 
 
 def test_constructor_reads_terms():
@@ -125,8 +101,8 @@ def test_constructor_reads_terms():
 
 
 def test_constructor_rejects_rational_keys():
-    # a rational exponent enters only through term, qpow, q_shift, coefficient
-    # and from_json_obj; the constructor does not rescale it
+    # a rational exponent enters only through term, qpow and q_shift; the
+    # constructor does not rescale it
     with pytest.raises(TypeError):
         BivariatePolynomial({(0, Fraction(1, 2)): 1})
     with pytest.raises(TypeError):
@@ -175,24 +151,8 @@ def test_json_mixed_quarter_powers():
         {"ze": 1, "qe": "5/4", "c": "-3"},
         {"ze": -3, "qe": "2/1", "c": "1"},
     ]
-    assert BivariatePolynomial.from_json_obj(obj) == p
-    assert p.coefficient(1, Fraction(5, 4)) == -3
-    assert p.coefficient(-3, 2) == 1
-
-
-def test_json_rejects_duplicate_terms():
-    # a hand-written file may name one monomial twice, also as 1/2 and 2/4
-    for qes in (("1/2", "1/2"), ("1/2", "2/4")):
-        obj = [{"ze": 1, "qe": qe, "c": "1"} for qe in qes]
-        with pytest.raises(ValueError, match="two terms with ze=1"):
-            BivariatePolynomial.from_json_obj(obj)
-
-
-def test_json_roundtrip():
-    rng = random.Random(3)
-    for _ in range(20):
-        p = rand_poly(rng)
-        assert BivariatePolynomial.from_json_obj(p.to_json_obj()) == p
+    assert p.terms.get((1, 5), 0) == -3
+    assert p.terms.get((-3, 8), 0) == 1
 
 
 def test_pow():
@@ -267,6 +227,20 @@ def test_exact_div_rejects_z():
         (ONE + zpow(1)).exact_div(ONE + qpow(1))
 
 
+def test_exact_div_rejects_mixed_residues():
+    # an operand whose q-exponents mix quarter residues is refused, also
+    # where a quotient exists: 1 - q = (1 - q^(1/4)) (1 + q^(1/4)) (1 + q^(1/2))
+    t, q = qpow(Fraction(1, 4)), qpow(1)
+    for num, den in ((1 - q, 1 + t), ((1 + q) * (1 + t), 1 + q), (1 + q, 1 + t),
+                     (1 + t, 1 + q), (1 + q, 1 + q * t), ((1 + q) * (1 + t) + t, 1 + q),
+                     ((1 - q) * (1 + t) + q, 1 - q)):
+        with pytest.raises(ValueError, match="one quarter residue"):
+            num.exact_div(den)
+    # one row over one row divides, also after a sum cancelled the other rows
+    assert ((1 + t + q * q) - t).exact_div(1 + q * q) == 1
+    assert (t * (1 + q) * (1 - q)).exact_div(1 - q * q) == t
+
+
 def test_rows_are_canonical():
     # at one digit width a value has one set of packed rows, whichever way
     # it was built, which is all == compares at one width; hashes agree too
@@ -289,7 +263,7 @@ def test_rows_are_canonical():
             ((c + a) - c, a),
             (a * b, b * a),
             ((a * b) * c, a * (b * c)),
-            (a.shift_quarters(5).z_shift(-2).shift_quarters(-5).z_shift(2), a),
+            (a.q_shift(Fraction(5, 4)).z_shift(-2).q_shift(Fraction(-5, 4)).z_shift(2), a),
             (a.q_shift(Fraction(-3, 4)).q_shift(Fraction(3, 4)), a),
             (((a + c) - c).subs_q_to_q2(), a.subs_q_to_q2()),
             ((a * b).subs_q_to_q2(), (b * a).subs_q_to_q2()),
@@ -311,8 +285,8 @@ def test_equality_across_widths_decodes_nothing(monkeypatch):
 
     values = [
         1 + t - 3 * q * q + qpow(Fraction(-1, 2)),  # one z-power, three residues
-        z * (1 - q) + zpow(-2) * t - 5 * z * q.shift_quarters(6),  # z-rows
-        q.shift_quarters(-9),
+        z * (1 - q) + zpow(-2) * t - 5 * z * q.q_shift(Fraction(3, 2)),  # z-rows
+        q.q_shift(Fraction(-9, 4)),
         ONE,
     ]
     changes = [ONE, t, z, -q * q, zpow(-2) * qpow(Fraction(1, 4))]
@@ -333,25 +307,99 @@ def test_equality_across_widths_decodes_nothing(monkeypatch):
     assert wider(ONE) == 1 and wider(ONE) != 2
 
 
-def test_library_divisions_stay_packed(monkeypatch):
-    # every exact_div the library makes divides one row by one row; only
-    # operands that mix quarter residues reach the fallback, which
-    # re-reads exponents through _substitute
+def test_library_divisions_stay_packed():
+    # every exact_div the library makes divides one row by one row, since
+    # a mixed-residue operand raises
     from conftest import run_engine
     from demcrystal import verify
 
-    def refuse(self, new_key):
-        raise AssertionError("exact_div took the mixed-residue fallback")
-
-    monkeypatch.setattr(BivariatePolynomial, "_substitute", refuse)
-    with pytest.raises(AssertionError, match="fallback"):
-        (1 - qpow(1)).exact_div(1 + qpow(Fraction(1, 4)))
     ok, first_bad = run_engine({"boson-fermion": 894}, verify.boson_fermion(3, 6))
     assert ok, first_bad
     fresh = gaussian.__wrapped__  # computed anew, past the memo
     for M in range(-5, 10):
         for i in range(1, 7):
             assert fresh(M, i) == fresh(M - 1, i - 1) + qpow(i) * fresh(M - 1, i), (M, i)
+
+
+def test_route_values_reach_wide_digits(monkeypatch):
+    # every (b, c) of the cells (k, L) = (2, 20) and (1, 30) through the f
+    # routes: their values build rows of 64-bit digits, and some exact_div
+    # finds its first integer quotient past the digit bound and re-runs at
+    # a doubled width, reading its operands anew through _at
+    from demcrystal import qlaurent, verify
+
+    widths, reads, reruns = set(), [], []
+    poly, at, div = qlaurent._poly, BivariatePolynomial._at, BivariatePolynomial.exact_div
+
+    def recorded_poly(rows, norm, bits):
+        widths.add(bits)
+        return poly(rows, norm, bits)
+
+    def counted_at(self, bits):
+        reads.append(bits)
+        return at(self, bits)
+
+    def counted_div(self, divisor):
+        reads.clear()
+        quot = div(self, divisor)
+        reruns.append(len(reads) > 2)  # one read of each operand per run
+        return quot
+
+    monkeypatch.setattr(qlaurent, "_poly", recorded_poly)
+    monkeypatch.setattr(BivariatePolynomial, "_at", counted_at)
+    monkeypatch.setattr(BivariatePolynomial, "exact_div", counted_div)
+    for k, L, count in ((2, 20, 243), (1, 30, 122)):
+        widths.clear()
+        reruns.clear()
+        points = [(b, c) for b in range(-L * k, L * k + 1) for c in range(b - k, b + k + 1, 2)]
+        assert len(points) == count
+        bad = [(b, c) for b, c in points if not verify._f_routes_agree(k, L, b, c)]
+        assert not bad, (k, L, bad[:3])
+        assert 64 in widths and any(reruns), (k, L, widths, sum(reruns))
+
+
+def test_one_sum_path(monkeypatch):
+    # + and - are shifted_sum's two-operand case: each makes one call to it
+    # and adds no row outside it, and - builds no negated copy
+    from demcrystal import qlaurent
+
+    calls, inside = [], []
+    real_sum, real_add_row = qlaurent.shifted_sum, qlaurent._add_row
+
+    def counted_sum(plus, minus=()):
+        calls.append(1)
+        inside.append(1)
+        try:
+            return real_sum(plus, minus)
+        finally:
+            inside.pop()
+
+    def add_row(*args):
+        assert inside, "a row was added outside shifted_sum"
+        return real_add_row(*args)
+
+    def refuse(self):
+        raise AssertionError("- built a negated copy")
+
+    a, b = 1 + qpow(Fraction(1, 4)), qpow(1) - zpow(1)
+    a_plus_b = BivariatePolynomial({(0, 0): 1, (0, 1): 1, (0, 4): 1, (1, 0): -1})
+    a_minus_b = BivariatePolynomial({(0, 0): 1, (0, 1): 1, (0, 4): -1, (1, 0): 1})
+    a_plus_1 = BivariatePolynomial({(0, 0): 2, (0, 1): 1})
+    want = {
+        "a + b": (lambda: a + b, a_plus_b, 1),
+        "a + 1": (lambda: a + 1, a_plus_1, 1),
+        "1 + a": (lambda: 1 + a, a_plus_1, 1),
+        "a - b": (lambda: a - b, a_minus_b, 1),
+        "1 - a": (lambda: 1 - a, BivariatePolynomial({(0, 1): -1}), 1),
+        "sum([a, b], ZERO)": (lambda: sum([a, b], ZERO), a_plus_b, 2),
+    }
+    monkeypatch.setattr(qlaurent, "shifted_sum", counted_sum)
+    monkeypatch.setattr(qlaurent, "_add_row", add_row)
+    monkeypatch.setattr(BivariatePolynomial, "__neg__", refuse)
+    for name, (build, value, count) in want.items():
+        calls.clear()
+        assert build() == value, name
+        assert len(calls) == count, (name, len(calls))
 
 
 def test_shifted_sum_edges():
@@ -361,7 +409,7 @@ def test_shifted_sum_edges():
     for plus, minus in [((), ()), ([], [(ZERO, 3)]), ([(p, 5)], [(p, 5)]), ([(p, 1), (-p, 1)], [])]:
         got = shifted_sum(plus, minus)
         assert not got and (got._rows, got._norm, got._bits) == (ZERO._rows, ZERO._norm, ZERO._bits)
-    assert shifted_sum(iter([(p, 2)]), iter([(ONE, 0)])) == p.shift_quarters(2) - 1
+    assert shifted_sum(iter([(p, 2)]), iter([(ONE, 0)])) == p.q_shift(Fraction(1, 2)) - 1
     for q4 in (True, 1.0, Fraction(1), Fraction(1, 4), "1/4"):
         for operand in (p, ZERO):
             with pytest.raises(TypeError, match="is not an int"):
