@@ -227,20 +227,6 @@ def test_exact_div_rejects_z():
         (ONE + zpow(1)).exact_div(ONE + qpow(1))
 
 
-def test_exact_div_rejects_mixed_residues():
-    # an operand whose q-exponents mix quarter residues is refused, also
-    # where a quotient exists: 1 - q = (1 - q^(1/4)) (1 + q^(1/4)) (1 + q^(1/2))
-    t, q = qpow(Fraction(1, 4)), qpow(1)
-    for num, den in ((1 - q, 1 + t), ((1 + q) * (1 + t), 1 + q), (1 + q, 1 + t),
-                     (1 + t, 1 + q), (1 + q, 1 + q * t), ((1 + q) * (1 + t) + t, 1 + q),
-                     ((1 - q) * (1 + t) + q, 1 - q)):
-        with pytest.raises(ValueError, match="one quarter residue"):
-            num.exact_div(den)
-    # one row over one row divides, also after a sum cancelled the other rows
-    assert ((1 + t + q * q) - t).exact_div(1 + q * q) == 1
-    assert (t * (1 + q) * (1 - q)).exact_div(1 - q * q) == t
-
-
 def test_rows_are_canonical():
     # at one digit width a value has one set of packed rows, whichever way
     # it was built, which is all == compares at one width; hashes agree too

@@ -221,11 +221,11 @@ def test_equal_at_different_widths():
 t = BivariatePolynomial.term(1, qe=Fraction(1, 4))
 
 
-def step_poly(rng, g, lo):
+def step_poly(rng, g, lo, z_free=False):
     """A polynomial whose terms all sit at quarter exponents lo + g*i."""
     terms = {}
     for _ in range(rng.randint(1, 6)):
-        ze = rng.randint(-2, 2)
+        ze = 0 if z_free else rng.randint(-2, 2)
         terms[(ze, lo + g * rng.randint(0, 6))] = rng.choice((-3, -2, -1, 1, 2, 3))
     return BivariatePolynomial(terms)
 
@@ -302,6 +302,52 @@ def test_equal_across_steps_random():
         assert finer.to_json_obj() == p.to_json_obj()
         for other in (finer + q, finer + t, finer - q * finer, p * 2):
             assert other != p and p != other
+
+
+def test_exact_div_with_mixed_steps_matches_sympy():
+    # one row over one row divides as sympy does; an operand that mixes
+    # quarter residues is refused, also where sympy finds a quotient
+    rng = random.Random(32)
+    divided = refused = 0
+    for _ in range(60):
+        quot = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
+        div = step_poly(rng, rng.choice((1, 2, 4)), rng.randint(-5, 5), z_free=True)
+        num = quot * div
+        if len(rows(num)) == len(rows(div)) == 1:
+            assert same(to_sympy(num.exact_div(div)), to_sympy(quot)), (quot, div)
+            divided += 1
+        else:
+            with pytest.raises(ValueError, match="one quarter residue"):
+                num.exact_div(div)
+            refused += 1
+    assert divided and refused, (divided, refused)
+    # a one-row numerator over a two-row divisor has a four-row quotient:
+    # 1 - q = (1 - q^(1/4)) (1 + q^(1/4)) (1 + q^(1/2))
+    # and a two-row numerator over a one-row divisor has a two-row one
+    for num, den, want in ((1 - q, 1 + t, (1 - x) * (1 + x ** 2)),
+                           ((1 + q) * (1 + t), 1 + q, 1 + x)):
+        assert sympy.div(to_sympy(num), to_sympy(den), x) == (sympy.expand(want), 0)
+        with pytest.raises(ValueError, match="one quarter residue"):
+            num.exact_div(den)
+    # a numerator that cancelled down to one row over a one-row divisor
+    got = ((1 + t + q * q) - t).exact_div(1 + q * q)
+    assert got == 1 and rows(got) == {(0, 0)}
+    assert (q * (1 + q) * (1 - q)).exact_div(1 - q * q).q_shift(-1) == 1
+    assert (t * (1 + q) * (1 - q)).exact_div(1 - q * q) == t
+
+
+def test_exact_div_with_mixed_steps_rejects_remainders():
+    # q^(1/4) (1 + q) over 1 - q: one row each, and the remainder raises
+    with pytest.raises(ValueError, match="inexact"):
+        (t * (1 + q)).exact_div(1 - q)
+    # a mixed-residue operand raises before any division; sympy confirms
+    # that none of these has a quotient either
+    shift = x ** 8  # clears every negative power, keeps divisibility
+    for num, den in ((1 + q, 1 + t), (1 + t, 1 + q), (1 + q, 1 + q * t),
+                     ((1 + q) * (1 + t) + t, 1 + q), ((1 - q) * (1 + t) + q, 1 - q)):
+        assert sympy.rem(sympy.expand(to_sympy(num) * shift), to_sympy(den), x) != 0, (num, den)
+        with pytest.raises(ValueError, match="one quarter residue"):
+            num.exact_div(den)
 
 
 def test_integer_exponents_from_row_metadata():
