@@ -10,15 +10,17 @@ Work shared across c.  f(b, c) for the k + 1 values of c at one (k, L, b)
 walks the same occupation vectors and the same q-multinomials, so
 ``occupation_vectors`` is memoized on (k, L, b) and ``q_multinomial`` on
 L and the sorted parts; only the exponent of each term is recomputed per
-c.  Both caches hold pure functions of their arguments, never a value of
-f, so the fermionic F-sum, which walks the same vectors, still cannot
-read a result of any f route.  The routes themselves are not memoized,
-except f_recursive, whose recursion reads its own earlier values.
+c.  The bosonic route's Gaussian pairs [L-1, i][L, j] (``_gaussian_pair``)
+and (mu, nu) choices (``resolve_mu_nu``) are memoized too.  All these
+caches hold pure functions of their arguments, never a value of f, so the
+routes and the fermionic F-sum that share them read no other route's
+result through them.  The routes themselves are not memoized, except f_recursive, whose recursion
+reads its own earlier values.
 
 One way to sum.  Every route collects its terms as (polynomial, quarter
 shift) pairs and sums them in one ``qlaurent.shifted_sum`` call, which
-builds no shifted copy and no partial sum; the bosonic route makes one
-call per i, with that i's terms of each sign, and one over the products.
+builds no shifted copy and no partial sum; the bosonic route too puts
+all its (i, j) terms, split by sign, into one call before its division.
 """
 from __future__ import annotations
 
@@ -72,10 +74,11 @@ def f_recursive(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
 
 # -- route 2: bosonic double sum ----------------------------------------------------
 
-def resolve_mu_nu(k: int, L: int, b: int, c: int) -> list[tuple[int, int]]:
+@lru_cache(maxsize=None)
+def resolve_mu_nu(k: int, L: int, b: int, c: int) -> tuple[tuple[int, int], ...]:
     """All (mu, nu) with b in R_mu, c in R_nu, nu = mu +- 1 and the parity
     conditions mu = L+1, nu = L+2 mod 2; sorted so the canonical choice
-    (smallest mu, then smallest nu) comes first."""
+    (smallest mu, then smallest nu) comes first; memoized, so a tuple."""
 
     def in_range(mu: int, x: int) -> bool:
         lo, hi = (mu - 1) * k, (mu + 1) * k
@@ -87,15 +90,22 @@ def resolve_mu_nu(k: int, L: int, b: int, c: int) -> list[tuple[int, int]]:
            if (m - L - 1) % 2 == 0 and in_range(m, b)]
     nus = [n for n in range(-abs(c) // k - 2, abs(c) // k + 3)
            if (n - L) % 2 == 0 and in_range(n, c)]
-    return sorted((m, n) for m in mus for n in nus if abs(m - n) == 1)
+    return tuple(sorted((m, n) for m in mus for n in nus if abs(m - n) == 1))
+
+
+@lru_cache(maxsize=None)
+def _gaussian_pair(L: int, i: int, j: int) -> BivariatePolynomial:
+    """[L-1, i] * [L, j], memoized: like _q_multinomial, a building block
+    that depends on its arguments alone and is never a value of f."""
+    return gaussian(L - 1, i) * gaussian(L, j)
 
 
 def f_bosonic(k: int, L: int, b: int, c: int,
               mu_nu: tuple[int, int] | None = None) -> BivariatePolynomial:
     """f^(k)_L(b,c) by the alternating double sum over Gaussian products,
     at mu_nu or else the first (mu, nu) resolve_mu_nu returns; a pair it
-    does not return raises.  The sum is divided exactly by (q;q)_{L-1}; a
-    remainder raises, which flags an implementation error.
+    does not return raises.  All (i, j) terms are summed at once and divided
+    exactly by (q;q)_{L-1}; a remainder raises, an implementation error.
     """
     if k < 1 or L < 1:
         raise ValueError("bosonic form requires k, L >= 1")
@@ -107,29 +117,26 @@ def f_bosonic(k: int, L: int, b: int, c: int,
     if not choices:
         raise ValueError(f"no admissible (mu, nu) for k={k}, L={L}, (b,c)=({b},{c})")
     if mu_nu is not None and mu_nu not in choices:
-        raise ValueError(f"(mu, nu) = {mu_nu} is not among {choices} for k={k}, L={L}, (b,c)=({b},{c})")
+        raise ValueError(f"(mu, nu) = {mu_nu} is not among {list(choices)} for k={k}, L={L}, (b,c)=({b},{c})")
     mu, nu = mu_nu or choices[0]
     # A point (i, j) counts with sign (-1)^(i+j) when 2i >= L+nu and
     # 2j <= L+mu-1 (plus), with the opposite sign when 2i <= L+nu-2 and
     # 2j >= L+mu+1, and not at all otherwise.  As nu = L mod 2, each i fixes
-    # one of the two contiguous j-ranges, and the j-sum is taken before the
-    # one product with gaussian(L-1, i); gaussian(L, j) vanishes outside 0..L.
+    # one of the two contiguous j-ranges, inside 0..L where gaussian(L, j)
+    # lives; each term, with its pair [L-1, i][L, j], joins one sum's plus
+    # or minus list.
     j_plus = range(min((L + mu - 1) // 2, L) + 1)
     j_minus = range(max(-(-(L + mu + 1) // 2), 0), L + 1)
-    products = []
+    pos, neg = [], []
     for i in range(L):  # gaussian(L-1, i) vanishes outside 0..L-1
         plus = 2 * i >= L + nu
-        js = j_plus if plus else j_minus
-        # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L;
-        # the j-terms are sorted by sign and summed in one shifted_sum
+        # 4Q = 2(i-j)(i-j+1) - ABk + bA + cB, with A = 2i-L+1, B = 2j-L
         A = 2 * i - L + 1
-        pos, neg = [], []
-        for j in js:
+        for j in j_plus if plus else j_minus:
             B = 2 * j - L
-            term = (gaussian(L, j), 2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B)
+            term = (_gaussian_pair(L, i, j), 2 * (i - j) * (i - j + 1) - A * B * k + b * A + c * B)
             (pos if ((i + j) % 2 == 0) == plus else neg).append(term)
-        products.append((gaussian(L - 1, i) * shifted_sum(pos, neg), 0))
-    return shifted_sum(products).exact_div(qpoch(L - 1))
+    return shifted_sum(pos, neg).exact_div(qpoch(L - 1))
 
 
 # -- route 3: fermionic multinomial sum ------------------------------------------------

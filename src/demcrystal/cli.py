@@ -53,7 +53,11 @@ def cmd_character(args, out) -> int:
     least, _, route = ch.ROUTES[args.route]
     if args.L < least:
         raise SystemExit2(f"route {args.route} requires L >= {least}")
-    return _write_character(route(lam, args.L), args.format, out)
+    try:
+        poly = route(lam, args.L)
+    except RecursionError:  # f_recursive recurses once per unit of L
+        raise SystemExit2(f"route {args.route} recurses too deep at L = {args.L}") from None
+    return _write_character(poly, args.format, out)
 
 
 def cmd_oracle(args, out) -> int:

@@ -23,9 +23,9 @@ def test_a1_boson_fermion_recursion():
 
 
 def test_boson_fermion_wide_grid_slice():
-    # the wide identity grid beside A1's: every (b, c) of k <= 6, L <= 10,
-    # the (k, L) box that identity-sweep samples
-    ok, first_bad = run_engine({"boson-fermion": 12590}, verify.boson_fermion(6, 10))
+    # the wide identity grid beside A1's: every (b, c) of k <= 6, L <= 12,
+    # the (k, L) box that identity-sweep samples and two lengths past it
+    ok, first_bad = run_engine({"boson-fermion": 17796}, verify.boson_fermion(6, 12))
     assert ok, first_bad
 
 

@@ -1,5 +1,6 @@
 import itertools
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -33,7 +34,7 @@ from demcrystal.demazure import (
     generate_crystal,
 )
 from demcrystal.paths import enumerate_paths, ground_state_path, highest_lift
-from demcrystal.qlaurent import ONE, ZERO, gaussian, qpow, zpow
+from demcrystal.qlaurent import ONE, ZERO, BivariatePolynomial, gaussian, qpow, zpow
 from demcrystal.weights import Weight, demazure_character_oracle
 
 WEIGHTS = list(verify.weights_up_to(3))
@@ -203,6 +204,71 @@ def test_summing_routes_make_no_shifted_copy(monkeypatch):
     f_recursive.cache_clear()
 
 
+# points on the support of f at several (k, L)
+BOSONIC_POINTS = [(1, 3, 1, 0), (3, 4, 2, 1), (4, 5, -2, 2), (2, 6, 0, 0), (5, 8, 2, -1)]
+
+
+def test_bosonic_route_sums_once_and_divides_once(monkeypatch):
+    """f_bosonic puts every (i, j) term into one shifted_sum and divides
+    that sum once by (q;q)_{L-1}; no per-i sum and no product is left."""
+    want = [f_bosonic(*args) for args in BOSONIC_POINTS]  # fills the memos
+    calls = Counter()
+    real_sum, real_div = characters.shifted_sum, BivariatePolynomial.exact_div
+
+    def counted_sum(*args):
+        calls["shifted_sum"] += 1
+        return real_sum(*args)
+
+    def counted_div(self, divisor):
+        calls["exact_div"] += 1
+        return real_div(self, divisor)
+
+    monkeypatch.setattr(characters, "shifted_sum", counted_sum)
+    monkeypatch.setattr(BivariatePolynomial, "exact_div", counted_div)
+    for args, value in zip(BOSONIC_POINTS, want):
+        calls.clear()
+        assert f_bosonic(*args) == value
+        assert calls == {"shifted_sum": 1, "exact_div": 1}, args
+
+
+def bosonic_grid(max_k, max_L):
+    return [(k, L, b, c) for k in range(1, max_k + 1) for L in range(1, max_L + 1)
+            for b, c in admissible_pairs(k, L)]
+
+
+def test_every_gaussian_pair_entry_is_its_product():
+    pair = characters._gaussian_pair
+    pair.cache_clear()
+    for args in bosonic_grid(3, 7):
+        f_bosonic(*args)
+    entries = pair.cache_info().currsize
+    probes = [(L, i, j) for L in range(1, 8) for i in range(L) for j in range(L + 1)]
+    hits = pair.cache_info().hits
+    for L, i, j in probes:
+        assert pair(L, i, j) == gaussian(L - 1, i) * gaussian(L, j), (L, i, j)
+    info = pair.cache_info()
+    # every entry f_bosonic stored was read back here, and none lies outside
+    # the keys (L, i, j) of 0 <= i < L, 0 <= j <= L
+    assert entries and (info.hits - hits, info.currsize) == (entries, len(probes))
+
+
+def test_clearing_the_bosonic_memos_changes_no_value():
+    def packed(p):
+        return p._rows, p._norm, p._bits
+
+    grid = bosonic_grid(3, 7)
+    warm = [packed(f_bosonic(*args)) for args in grid]
+    for memo in (characters._gaussian_pair, resolve_mu_nu, gaussian):
+        memo.cache_clear()
+    assert [packed(f_bosonic(*args)) for args in grid] == warm
+
+
+def test_mu_nu_choices_are_one_shared_tuple():
+    # memoized, so a list a caller could change would change every later call
+    choices = resolve_mu_nu(1, 2, 0, 1)
+    assert choices == ((-1, 0), (1, 0)) and resolve_mu_nu(1, 2, 0, 1) is choices
+
+
 def test_demazure_anchor():
     lam = Weight(2, 0, 0)
     want = ONE + zpow(-1) * qpow(1) + zpow(-2) * qpow(2)
@@ -278,7 +344,8 @@ def test_routes_refuse_below_their_range():
     # a (mu, nu) that resolve_mu_nu does not return was used as given:
     # (5, 6) gave 0 for f = 1 + q; (0, 1) and (2, 1) have the wrong parity
     for mu_nu in ((5, 6), (0, 1), (2, 1)):
-        with pytest.raises(ValueError, match=re.escape(f"(mu, nu) = {mu_nu} is not among")):
+        refusal = f"(mu, nu) = {mu_nu} is not among [(-1, 0), (1, 0)] for k=1, L=2, (b,c)=(0,1)"
+        with pytest.raises(ValueError, match=re.escape(refusal)):
             f_bosonic(1, 2, 0, 1, mu_nu)
     for args, match in (((1, 1, 1, 0), "requires k >= 2"),
                         ((2, 1, -2, -2), "requires b >= 0"),

@@ -367,6 +367,18 @@ def test_unwritable_out(argv, tmp_path, capsys):
     assert_usage_error(argv + ["--out", str(tmp_path / "missing" / "x")], capsys)
 
 
+@pytest.mark.parametrize("route", ["recursive", "demazure+", "demazure-"])
+def test_recursion_too_deep_is_refused(route, tmp_path, capsys):
+    """f_recursive recurses once per unit of L: past the interpreter's
+    recursion limit a route on it is refused in one line, not a traceback,
+    and an --out it created is removed again."""
+    argv = ["character", "--s", "1", "-L", "1200", "--route", route]
+    assert_usage_error(argv, capsys)
+    target = tmp_path / "c.txt"
+    assert_usage_error(argv + ["--out", str(target)], capsys)
+    assert not target.exists()
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_write_to_out(capsys):
     """A write that fails once the sink is open is a usage error too."""

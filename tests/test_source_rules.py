@@ -5,7 +5,8 @@ verification grid is deterministic) anywhere in ``src/demcrystal``, and no
 ``Fraction`` outside ``qlaurent._quarters``; no route to f^(k)_L or to
 the fermionic F-sum built on another of them, and no Demazure character
 route built on another; no memo on any cross-checked character route,
-crystal operator, crystal generator or path weight; no room for one on a
+crystal operator, crystal generator or path weight, and none at all but
+on the pinned building blocks and f_recursive; no room for one on a
 diagram tuple; a route table that matches its hand-written pin; and no
 default argument but a constant, so no function binds a route, or any
 other object, when it is defined."""
@@ -307,6 +308,83 @@ def test_memo_rule_catches_the_pattern():
         (32, "energy is memoized"),
         (35, "path_weight is rebound"),
         (36, "epsilon_i is memoized"),
+    ]
+
+
+# The deny-list above names routes; a memo on a new name would escape it.  So
+# every memo in src/ is also pinned by name: f_recursive, whose recursion
+# reads its own values, and pure building blocks of the routes, which hold
+# no value of f.  No memo but f_recursive may name an f route or ch_via_f,
+# so no building block can carry a route's result to another route.
+MEMOIZED = (
+    "qpoch", "gaussian", "_q_multinomial", "f_recursive", "occupation_vectors",
+    "resolve_mu_nu", "_gaussian_pair",
+)
+F_ROUTE_NAMES = ("f_recursive", "f_bosonic", "f_fermionic", "f_rank_reduction", "F_fermionic", "ch_via_f")
+
+
+def _is_memo(node) -> bool:
+    """Whether node is a memo decorator, bare or called, by any module path."""
+    target = node.func if isinstance(node, ast.Call) else node
+    return (getattr(target, "id", None) or getattr(target, "attr", None)) in MEMO_DECORATORS
+
+
+def memos(tree):
+    """(line, name, node) for each memo: a memo decorator on a def (the def
+    is the node), or an assignment of a memo call (the call is the node)."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                if _is_memo(dec):
+                    yield dec.lineno, node.name, node
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _is_memo(node.value.func):
+            for target in node.targets:
+                yield node.lineno, ast.unparse(target), node.value
+
+
+def memo_violations(tree):
+    """(line, what) for each memo not in MEMOIZED, and each mention of an
+    f route inside a memo other than f_recursive."""
+    for line, name, node in memos(tree):
+        if name not in MEMOIZED:
+            yield line, f"{name} is memoized"
+        if name != "f_recursive":
+            for inner in ast.walk(node):
+                mentioned = getattr(inner, "id", None) or getattr(inner, "attr", None)
+                if mentioned in F_ROUTE_NAMES:
+                    yield inner.lineno, f"memo {name} names {mentioned}"
+
+
+def test_only_pinned_building_blocks_are_memoized():
+    found, names = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        found += [f"{path.name}:{line}: {what}" for line, what in memo_violations(tree)]
+        names += [name for _, name, _ in memos(tree)]
+    assert found == []
+    # each pin is one memo that exists
+    assert sorted(names) == sorted(MEMOIZED)
+
+
+def test_memo_pin_rule_catches_the_pattern():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "_cached = lru_cache(None)(f_bosonic)\n"
+        "@functools.lru_cache(maxsize=None)\ndef _pair_sum(L, i):\n    return f_fermionic(1, L, i, i)\n"
+        "@lru_cache(maxsize=None)\ndef _gaussian_pair(L, i, j):\n    return gaussian(L - 1, i) * gaussian(L, j)\n"
+        "@cache\ndef occupation_vectors(k, L, b):\n    return ch.F_fermionic(k, L, b)\n"
+        "@lru_cache(maxsize=None)\ndef f_recursive(k, L, b, c):\n    return f_recursive(k, L - 1, b, c)\n"
+        "gaussian = functools.cache(gaussian)\n"
+        "f_tilde = cache(f_tilde)\n"
+        "def resolve_mu_nu(k, L, b, c):\n    return f_bosonic(k, L, b, c)\n"
+    )
+    assert sorted(memo_violations(ast.parse(source))) == [
+        (3, "_cached is memoized"),
+        (3, "memo _cached names f_bosonic"),
+        (4, "_pair_sum is memoized"),
+        (6, "memo _pair_sum names f_fermionic"),
+        (12, "memo occupation_vectors names F_fermionic"),
+        (17, "f_tilde is memoized"),
     ]
 
 
