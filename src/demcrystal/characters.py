@@ -100,12 +100,11 @@ def _gaussian_pair(L: int, i: int, j: int) -> BivariatePolynomial:
     return gaussian(L - 1, i) * gaussian(L, j)
 
 
-def f_bosonic(k: int, L: int, b: int, c: int,
-              mu_nu: tuple[int, int] | None = None) -> BivariatePolynomial:
+def f_bosonic(k: int, L: int, b: int, c: int) -> BivariatePolynomial:
     """f^(k)_L(b,c) by the alternating double sum over Gaussian products,
-    at mu_nu or else the first (mu, nu) resolve_mu_nu returns; a pair it
-    does not return raises.  All (i, j) terms are summed at once and divided
-    exactly by (q;q)_{L-1}; a remainder raises, an implementation error.
+    at the first (mu, nu) resolve_mu_nu returns, read from the module when
+    called.  All (i, j) terms are summed at once and divided exactly by
+    (q;q)_{L-1}; a remainder raises, an implementation error.
     """
     if k < 1 or L < 1:
         raise ValueError("bosonic form requires k, L >= 1")
@@ -116,9 +115,7 @@ def f_bosonic(k: int, L: int, b: int, c: int,
     choices = resolve_mu_nu(k, L, b, c)
     if not choices:
         raise ValueError(f"no admissible (mu, nu) for k={k}, L={L}, (b,c)=({b},{c})")
-    if mu_nu is not None and mu_nu not in choices:
-        raise ValueError(f"(mu, nu) = {mu_nu} is not among {list(choices)} for k={k}, L={L}, (b,c)=({b},{c})")
-    mu, nu = mu_nu or choices[0]
+    mu, nu = choices[0]
     # A point (i, j) counts with sign (-1)^(i+j) when 2i >= L+nu and
     # 2j <= L+mu-1 (plus), with the opposite sign when 2i <= L+nu-2 and
     # 2j >= L+mu+1, and not at all otherwise.  As nu = L mod 2, each i fixes
@@ -336,11 +333,6 @@ ROUTES = {
 
 # -- specializations -----------------------------------------------------------------------
 
-def q_bracket(a: int) -> BivariatePolynomial:
-    """[a] = 1 + q + ... + q^{a-1}."""
-    return shifted_sum((ONE, 4 * j) for j in range(a))
-
-
 def real_character_check(lam: Weight, L: int) -> bool:
     """ch^+_L at q = 1, z = q^{-1} against the closed product form."""
     if L < 1:
@@ -349,7 +341,8 @@ def real_character_check(lam: Weight, L: int) -> bool:
     k = lam.level
     lhs = demazure_ch(lam, "+", L).subs_q_one_z_to_qinv()
     e = epsilon_L(L)
-    rhs = (q_bracket(s + 1) * q_bracket(k + 1) ** (L - 1)).q_shift(-((L - e) // 2) * k)
+    # [a] = 1 + q + ... + q^{a-1} is the Gaussian [a, 1]
+    rhs = (gaussian(s + 1, 1) * gaussian(k + 1, 1) ** (L - 1)).q_shift(-((L - e) // 2) * k)
     return lhs == rhs
 
 

@@ -55,8 +55,9 @@ def cmd_character(args, out) -> int:
         raise SystemExit2(f"route {args.route} requires L >= {least}")
     try:
         poly = route(lam, args.L)
-    except RecursionError:  # f_recursive recurses once per unit of L
-        raise SystemExit2(f"route {args.route} recurses too deep at L = {args.L}") from None
+    except RecursionError:  # f_recursive is L deep, occupation_vectors k + 1 deep
+        raise SystemExit2(f"route {args.route} recurses too deep at level {lam.level}, "
+                          f"L = {args.L}") from None
     return _write_character(poly, args.format, out)
 
 

@@ -133,7 +133,8 @@ def _weight_text(T: EYDTuple) -> str:
 
 def export_graph(G: CrystalGraph, fmt: str) -> str:
     """Deterministic table, JSON or DOT rendering of a crystal graph, with
-    the vertices in ``EYDTuple.key`` order."""
+    the vertices in ``EYDTuple.key`` order; ``graph_from_json`` is the one
+    reader of its JSON layout."""
     verts = sorted(G.vertices, key=EYDTuple.key)
     if fmt == "table":
         rows = [f"{T.key()}  {_weight_text(T)}\n" for T in verts]
@@ -151,7 +152,8 @@ def export_graph(G: CrystalGraph, fmt: str) -> str:
         return "\n".join(lines) + "\n"
     if fmt == "json":
         obj = {
-            "vertices": [T.to_json_obj() for T in verts],
+            "vertices": [[{"charge": Y.charge, "columns": list(Y.columns)} for Y in T.diagrams]
+                         for T in verts],
             "edges": [
                 {"source": index[a], "color": i, "target": index[b]}
                 for a, i, b in edges
@@ -162,12 +164,14 @@ def export_graph(G: CrystalGraph, fmt: str) -> str:
 
 
 def graph_from_json(text: str) -> CrystalGraph:
-    """The graph ``export_graph(G, "json")`` wrote; an edge whose source or
-    target is not an int index of a vertex, or whose color is not 0 or 1,
-    raises ValueError, and so does a vertex or an edge listed twice, since
-    the graph's sets would silently keep one."""
+    """The graph ``export_graph(G, "json")`` wrote, each vertex through the
+    full check of ``EYDTuple``; an edge whose source or target is not an int
+    index of a vertex, or whose color is not 0 or 1, raises ValueError, and
+    so does a vertex or an edge listed twice, since the graph's sets would
+    silently keep one."""
     obj = json.loads(text)
-    verts = [EYDTuple.from_json_obj(o) for o in obj["vertices"]]
+    verts = [EYDTuple(tuple(ExtendedYoungDiagram.make(d["charge"], d["columns"]) for d in o))
+             for o in obj["vertices"]]
     vertices = frozenset(verts)
     if len(vertices) != len(verts):
         raise ValueError("a crystal vertex is listed twice")

@@ -240,13 +240,6 @@ class ExtendedYoungDiagram(Frozen):
             row = self._rows[L] = tuple([1 - (y + j) % 2 for j, y in enumerate(self.row(L))])
         return row
 
-    def to_json_obj(self) -> dict:
-        return {"charge": self.charge, "columns": list(self.columns)}
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "ExtendedYoungDiagram":
-        return cls.make(obj["charge"], obj["columns"])
-
 
 class SignatureEntry(NamedTuple):
     bit: int  # 0 for concave, 1 for convex
@@ -342,13 +335,6 @@ class EYDTuple(Frozen):
 
     def widths(self) -> tuple[int, ...]:
         return tuple([len(Y.columns) for Y in self.diagrams])
-
-    def to_json_obj(self) -> list:
-        return [Y.to_json_obj() for Y in self.diagrams]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "EYDTuple":
-        return cls(tuple(ExtendedYoungDiagram.from_json_obj(o) for o in obj))
 
     def key(self) -> tuple:
         """Canonical key on column sequences; vertices are listed in its order."""

@@ -379,6 +379,14 @@ def test_recursion_too_deep_is_refused(route, tmp_path, capsys):
     assert not target.exists()
 
 
+def test_recursion_too_deep_names_the_level(capsys):
+    """occupation_vectors recurses once per letter weight, so the fermionic
+    route runs out of depth at a high level even at L = 1; the refusal names
+    the level as well as L, since L alone is not the cause."""
+    assert main(["character", "--s", "1200", "-L", "1", "--route", "fermionic"]) == 2
+    assert capsys.readouterr() == ("", "error: route fermionic recurses too deep at level 1200, L = 1\n")
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 def test_failed_write_to_out(capsys):
     """A write that fails once the sink is open is a usage error too."""

@@ -59,6 +59,22 @@ def test_json_rejects_listed_twice():
             graph_from_json(json.dumps(obj))
 
 
+def test_json_reader_checks_each_vertex():
+    # the layout's one reader takes each charge as written, not through
+    # int(), and puts each vertex through the full check of EYDTuple
+    text = export_graph(generate_crystal(Weight(1, 1, 0), 2), "json")
+    for charge in (0.7, "1", True):
+        obj = json.loads(text)
+        obj["vertices"][0][0]["charge"] = charge
+        with pytest.raises(ValueError):
+            graph_from_json(json.dumps(obj))
+    # column 0 of the second diagram lies below the first's
+    obj = json.loads(text)
+    obj["vertices"].append([{"charge": 0, "columns": [-1]}, {"charge": 1, "columns": [-2]}])
+    with pytest.raises(ValueError, match="inclusion rule violated between consecutive diagrams"):
+        graph_from_json(json.dumps(obj))
+
+
 def test_export_dot_deterministic():
     G = generate_crystal(Weight(2, 0, 0), 2)
     # the same graph with its sets filled in another insertion order
