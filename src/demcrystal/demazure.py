@@ -3,6 +3,18 @@
 Two independent routes are provided: the Kashiwara string recursion
 along a reduced word, and the direct width characterization.
 
+The string recursion reads each i-string off one i-signature
+(``eyd.f_string``).  B_{r_i w} is the union of the f-tilde_i-strings of the
+i-highest elements of B_w, and the signature rule gives a whole string at
+once.  Adding a box at a concave i-corner on diagonal d of diagram p leaves
+a convex i-corner on the same diagonal d, at the same tuple position, and
+every other corner that changes lies on diagonal d - 1 or d + 1, of color
+1 - i.  So f-tilde_i turns the leftmost unmatched 0 of the i-signature into
+an unmatched 1 and changes nothing else in it, and f-tilde_i^n T makes its
+moves at the first n unmatched zeros of T's signature.  The element is
+i-highest when its signature has no unmatched 1.  Each move still makes its
+inclusion check.
+
 Both width-bounded searches are exact, not heuristics:
 
 - Width-bounded BFS reaches all of B_L(Lambda) because one box-adding
@@ -22,7 +34,7 @@ from __future__ import annotations
 
 import json
 
-from .eyd import ExtendedYoungDiagram, EYDTuple, Frozen, epsilon_i, f_tilde
+from .eyd import ExtendedYoungDiagram, EYDTuple, Frozen, f_string, f_tilde
 from .weights import Weight, is_reduced, require_dominant
 
 
@@ -85,12 +97,8 @@ def demazure_crystal_recursive(lam: Weight, word) -> set[EYDTuple]:
     for i in reversed(word):
         grown = set()
         for b in crystal:
-            if epsilon_i(b, i) != 0:  # not i-highest
-                continue
-            U = b
-            while U is not None:
-                grown.add(U)
-                U = f_tilde(i, U)
+            # the i-string of b, read off one signature, if b is i-highest
+            grown.update(f_string(i, b))
         crystal = grown
     return crystal
 

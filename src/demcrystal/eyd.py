@@ -382,15 +382,14 @@ def reduce_signature(bits) -> list[int]:
 _NEGATED_DIAGONAL = itemgetter(0)
 
 
-def _unmatched(T: EYDTuple, i: int):
-    """The reduced i-signature from each diagram's memoized entries.
+def _signature(T: EYDTuple, i: int) -> list:
+    """The i-signature from each diagram's memoized entries, in signature
+    order.
 
     Sorting the entries by falling diagonal reproduces the (d, j) order of
     ``i_signature``: diagonals are distinct within one diagram, each
     diagram's entries are in that order already, and the sort is stable,
-    so entries on one diagonal keep their tuple-position order.  Returns
-    the unmatched convex entries and the unmatched concave entries, each
-    in signature order.
+    so entries on one diagonal keep their tuple-position order.
     """
     entries = []
     for pos, Y in enumerate(T.diagrams):
@@ -398,8 +397,14 @@ def _unmatched(T: EYDTuple, i: int):
         per_color = Y._entries.get(pos)
         entries += (per_color or Y.signature_entries(pos))[i]
     entries.sort(key=_NEGATED_DIAGONAL)
+    return entries
+
+
+def _unmatched(T: EYDTuple, i: int):
+    """The reduced i-signature: the unmatched convex entries and the
+    unmatched concave entries, each in signature order."""
     ones, zeros = [], []
-    for e in entries:
+    for e in _signature(T, i):
         if e[2] == 0:
             zeros.append(e)
         elif zeros:
@@ -410,15 +415,56 @@ def _unmatched(T: EYDTuple, i: int):
 
 
 def f_tilde(i: int, T: EYDTuple):
-    """Add one i-colored box at the leftmost relevant concave corner, or None."""
-    zeros = _unmatched(T, i)[1]
-    return T._move(zeros[0][1], zeros[0][3], -1) if zeros else None
+    """Add one i-colored box at the leftmost relevant concave corner, or None.
+
+    One pass, keeping of the open concave entries only their count and the
+    first: when the count ends above 0, that first is the leftmost
+    survivor.
+    """
+    depth, first = 0, None
+    for e in _signature(T, i):
+        if e[2] == 0:
+            if not depth:
+                first = e
+            depth += 1
+        elif depth:
+            depth -= 1
+    return T._move(first[1], first[3], -1) if depth else None
 
 
 def e_tilde(i: int, T: EYDTuple):
-    """Remove one i-colored box at the rightmost relevant convex corner, or None."""
-    ones = _unmatched(T, i)[0]
-    return T._move(ones[-1][1], ones[-1][3], 1) if ones else None
+    """Remove one i-colored box at the rightmost relevant convex corner, or
+    None.  One pass: a convex entry met while no concave entry is open is
+    unmatched, and the last such is the one."""
+    depth, last = 0, None
+    for e in _signature(T, i):
+        if e[2] == 0:
+            depth += 1
+        elif depth:
+            depth -= 1
+        else:
+            last = e
+    return None if last is None else T._move(last[1], last[3], 1)
+
+
+def f_string(i: int, T: EYDTuple) -> list:
+    """T, f-tilde_i T, f-tilde_i^2 T, ... to the last, when T is i-highest
+    (epsilon_i(T) = 0); otherwise the empty list.
+
+    One signature gives the whole string: f-tilde_i turns the leftmost
+    unmatched 0 into an unmatched 1 and leaves the rest of the i-signature
+    as it was (the corner argument is in the ``demazure`` module
+    docstring), so f-tilde_i^n T adds the boxes of T's first n unmatched
+    zeros, in order.  Each move still makes its inclusion check.
+    """
+    ones, zeros = _unmatched(T, i)
+    if ones:
+        return []
+    string = [T]
+    for e in zeros:
+        T = T._move(e[1], e[3], -1)
+        string.append(T)
+    return string
 
 
 def epsilon_i(T: EYDTuple, i: int) -> int:

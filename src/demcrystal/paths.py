@@ -87,11 +87,9 @@ def epsilon_L(L: int) -> int:
 
 def ground_state_H_sum(lam: Weight, L: int) -> int:
     """Closed form for the absolute ground-state energy sum."""
-    s = lam.a0
-    k = lam.level
-    e = epsilon_L(L)
-    half = (L + e) // 2
-    return half * half * k + (-1) ** e * half * s
+    half = (L + 1) // 2
+    gs = half * lam.a0
+    return half * half * lam.level + (-gs if L % 2 else gs)
 
 
 def ground_state_H_sum_direct(lam: Weight, L: int) -> int:
@@ -115,7 +113,8 @@ def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     counting the diagrams with t_{ij} + j even, so each letter lies in
     0..k by construction.  The letters are the elementwise sum of the
     diagrams' parity rows (module docstring)."""
-    return tuple(map(sum, zip(*[Y.parity_row(L) for Y in T.diagrams])))
+    # the row memo read inline, saving a method call per diagram
+    return tuple(map(sum, zip(*[Y._rows.get(L) or Y.parity_row(L) for Y in T.diagrams])))
 
 
 def _max_column(caps, m: int, parity: int, k: int):

@@ -288,6 +288,22 @@ def test_demazure_routes_reject_unknown_sign():
             route(lam, "x", 2)
 
 
+def test_crystal_brute_force_refusals_keep_their_messages_and_order():
+    # the string recursion runs at L = 0 and weyl_word refuses only L < 0,
+    # so the crystal brute force checks the weight, the sign and L > 0 first
+    def refusal(lam, sign, L):
+        with pytest.raises(ValueError) as exc:
+            demazure_ch_bruteforce(lam, sign, L)
+        return str(exc.value)
+
+    lam = Weight(1, 1, 0)
+    for L in (0, -1):
+        assert refusal(lam, "+", L) == "the width characterization requires L > 0"
+    for L in (2, 0):
+        assert refusal(lam, "x", L) == "sign must be '+' or '-'"
+    assert refusal(Weight(-1, 2, 0), "x", 0) == "requires a dominant weight of level >= 1"
+
+
 def test_brute_forces_and_oracle_specialize_through_one_map(monkeypatch):
     # e^{-alpha_1} -> z, e^{-delta} -> q is written once, in specialize
     calls = []

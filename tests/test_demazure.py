@@ -12,8 +12,9 @@ from demcrystal.demazure import (
     graph_from_json,
     subgraph,
 )
-from demcrystal.eyd import EYDTuple
-from demcrystal.weights import Weight
+from demcrystal.eyd import EYDTuple, epsilon_i, f_tilde
+from demcrystal.verify import weights_up_to
+from demcrystal.weights import Weight, weyl_word
 
 
 def test_generate_crystal_anchor():
@@ -108,3 +109,27 @@ def test_subgraph():
     H = subgraph(G, sub)
     assert H.vertices == frozenset(sub)
     assert all(a in sub and b in sub for a, _, b in H.edges)
+
+
+def chained_recursive(lam, word):
+    """B_w(Lambda) by the string recursion one f_tilde at a time: each
+    i-highest element (epsilon_i = 0) and f_tilde_i of it until None."""
+    crystal = {EYDTuple.vacuum(lam.a0, lam.a1)}
+    for i in reversed(word):
+        grown = set()
+        for b in crystal:
+            if epsilon_i(b, i) == 0:
+                while b is not None:
+                    grown.add(b)
+                    b = f_tilde(i, b)
+        crystal = grown
+    return crystal
+
+
+def test_string_recursion_matches_the_f_tilde_chain():
+    # every weight of level <= 4, 1 <= L <= 5, both signs
+    for lam in weights_up_to(4):
+        for L in range(1, 6):
+            for sign in "+-":
+                word = weyl_word(sign, L)
+                assert demazure_crystal_recursive(lam, word) == chained_recursive(lam, word), (lam, sign, L)

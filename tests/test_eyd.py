@@ -13,6 +13,7 @@ from demcrystal.eyd import (
     ExtendedYoungDiagram,
     e_tilde,
     epsilon_i,
+    f_string,
     f_tilde,
     i_signature,
     phi_i,
@@ -203,6 +204,28 @@ def test_kernel_matches_signature_reference(lam):
                     full = EYDTuple(U.diagrams)
                     assert full == U and hash(full) == hash(U), (T.key(), i)
     assert generate_crystal(lam, 4).vertices == vertices
+
+
+@pytest.mark.parametrize("lam", list(weights_up_to(3)), ids=lambda lam: f"s{lam.a0}t{lam.a1}")
+def test_string_read_off_one_signature_is_the_f_tilde_chain(lam):
+    # at an i-highest vertex the string is T, f T, f^2 T, ... through the
+    # reference f_tilde, element by element; any other vertex has none
+    longest = 0
+    for T in reference_crystal(lam, 4):
+        for i in (0, 1):
+            chain = []
+            if reference_operators(T, i)[2] == 0:
+                U = T
+                while U is not None:
+                    chain.append(U)
+                    U = reference_operators(U, i)[0]
+                longest = max(longest, len(chain))
+            got = f_string(i, T)
+            assert len(got) == len(chain) and all(
+                U.key() == V.key() and hash(U) == hash(V) for U, V in zip(got, chain)
+            ), (T.key(), i)
+    # the grid reaches strings of three elements or more
+    assert longest >= 3
 
 
 def test_one_column_check_raises_like_the_full_check():

@@ -236,15 +236,15 @@ def test_route_table_matches_the_pins():
 # recursion reads its own earlier values) and is exempt.
 # The crystal operators and generators are cross-checked routes too: the
 # EYD kernel and pi may memoize per-diagram geometry on the diagram, never a
-# tuple or a crystal, and the brute-force characters read each path's
-# energy and weight afresh.  The Demazure-operator oracle checks both, and
+# tuple, a tuple's signature or i-string, or a crystal, and the brute-force
+# characters read each path's energy and weight afresh.  The Demazure-operator oracle checks both, and
 # recomputes every call too.
 UNMEMOIZED_ROUTES = (
     "f_bosonic", "f_fermionic", "F_fermionic", "f_rank_reduction",
     "ch_via_f", "ch_path_bruteforce",
     "demazure_ch", "demazure_ch_bruteforce", "demazure_ch_oracle",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
-    "epsilon_i", "pi", "energy", "path_weight",
+    "f_string", "_signature", "_unmatched", "epsilon_i", "pi", "energy", "path_weight",
     "demazure_operator", "demazure_character_oracle",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
@@ -294,6 +294,7 @@ def test_memo_rule_catches_the_pattern():
         "@lru_cache(maxsize=None)\ndef energy(p, lam):\n    pass\n"
         "path_weight = cache(path_weight)\n"
         "@functools.lru_cache\ndef epsilon_i(T, i):\n    pass\n"
+        "f_string = lru_cache(None)(f_string)\n"
     )
     assert sorted(memoized_routes(ast.parse(source))) == [
         (3, "f_bosonic is memoized"),
@@ -308,6 +309,7 @@ def test_memo_rule_catches_the_pattern():
         (32, "energy is memoized"),
         (35, "path_weight is rebound"),
         (36, "epsilon_i is memoized"),
+        (39, "f_string is rebound"),
     ]
 
 
