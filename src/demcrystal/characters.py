@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 
-from .demazure import demazure_crystal_recursive
+from .demazure import _widths, demazure_crystal_recursive
 from .paths import enumerate_paths, epsilon_L, path_weight, pi
 from .qlaurent import (
     ONE,
@@ -310,13 +310,10 @@ def demazure_ch_bruteforce(lam: Weight, sign: str, L: int) -> BivariatePolynomia
     """Sum of e^{wt b} over the Demazure crystal B_{w^{+/-}_L}(Lambda), as
     the string recursion along w^{+/-}_L builds it
     (``demazure_crystal_recursive``), each b read through its path,
-    specialized to z and q.  It refuses what the width route refuses, in
-    the same order: the weight, then the sign, then L <= 0."""
+    specialized to z and q.  It refuses what the width route refuses, by
+    its checks, in the same order: the weight, then the sign, then L <= 0."""
     require_dominant(lam)
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if L <= 0:
-        raise ValueError("the width characterization requires L > 0")
+    _widths(sign, L)
     paths = (pi(T, L) for T in demazure_crystal_recursive(lam, weyl_word(sign, L)))
     return specialize(Counter(path_weight(p, lam) for p in paths), lam)
 

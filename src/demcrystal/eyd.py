@@ -421,6 +421,7 @@ def f_tilde(i: int, T: EYDTuple):
     first: when the count ends above 0, that first is the leftmost
     survivor.
     """
+    # its own pass, not _unmatched's lists: it is hot in generate_crystal
     depth, first = 0, None
     for e in _signature(T, i):
         if e[2] == 0:
@@ -433,18 +434,10 @@ def f_tilde(i: int, T: EYDTuple):
 
 
 def e_tilde(i: int, T: EYDTuple):
-    """Remove one i-colored box at the rightmost relevant convex corner, or
-    None.  One pass: a convex entry met while no concave entry is open is
-    unmatched, and the last such is the one."""
-    depth, last = 0, None
-    for e in _signature(T, i):
-        if e[2] == 0:
-            depth += 1
-        elif depth:
-            depth -= 1
-        else:
-            last = e
-    return None if last is None else T._move(last[1], last[3], 1)
+    """Remove one i-colored box at the rightmost relevant convex corner, the
+    last unmatched convex entry, or None."""
+    ones = _unmatched(T, i)[0]
+    return T._move(ones[-1][1], ones[-1][3], 1) if ones else None
 
 
 def f_string(i: int, T: EYDTuple) -> list:

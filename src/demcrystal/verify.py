@@ -3,7 +3,8 @@
 Each suite is a generator of ``Check`` records over a grid bounded by a
 level ``max_k`` and a length ``max_L``.  The ``verify`` subcommand prints
 the records and the acceptance tests assert them, so every grid is written
-once.  Suites share the signature ``(max_k, max_L)``.
+once.  Suites share the signature ``(max_k, max_L)``.  A record is its
+failures, the names of its false conditions, so it cannot fail unexplained.
 """
 from __future__ import annotations
 
@@ -24,13 +25,18 @@ from .weights import ALPHA, Weight, apply_word, weyl_word
 
 
 class Check(NamedTuple):
-    """One verdict: ``label`` names the grid cell, ``failures`` the failing
-    points inside it and ``cases`` the number of grid points it covers."""
+    """One record: ``label`` names the grid cell, ``failures`` what fails
+    inside it and ``cases`` the number of grid points it covers."""
 
     label: str
-    ok: bool
-    failures: tuple[str, ...] = ()
-    cases: int = 1
+    failures: tuple[str, ...]
+    cases: int
+    ok = property(lambda self: not self.failures)
+
+
+def _check(label: str, conditions: dict[str, bool], cases: int = 1) -> Check:
+    """The record ``label``, failing by each false condition's name, ``"{what} {cell}"``."""
+    return Check(label, tuple(name for name, held in conditions.items() if not held), cases)
 
 
 def weights_up_to(k: int):
@@ -42,39 +48,41 @@ def weights_up_to(k: int):
 
 
 def _f_cells(name: str, max_k: int, Ls, pad: int, holds):
-    """One record per (k, L): holds(k, L, b, c) at every b in
-    -(L+pad)k..(L+pad)k and c in b-k..b+k, in steps of 2; a cell stops at,
-    and reports, its first failing point."""
+    """One record per (k, L): every named condition of holds(k, L, b, c) at
+    every b in -(L+pad)k..(L+pad)k and c in b-k..b+k, in steps of 2; a cell
+    stops at, and names what fails at, its first failing point."""
     for k in range(1, max_k + 1):
         for L in Ls:
             reach = (L + pad) * k
             points = [(b, c) for b in range(-reach, reach + 1) for c in range(b - k, b + k + 1, 2)]
-            bad = next(
-                (f"k={k} L={L} b={b} c={c}" for b, c in points if not holds(k, L, b, c)),
-                None,
-            )
-            failures = () if bad is None else (bad,)
-            yield Check(f"{name} k={k} L={L}", not failures, failures, len(points))
+            for b, c in points:
+                if not all((held := holds(k, L, b, c)).values()):
+                    break
+            cell = f"k={k} L={L}"
+            yield _check(f"{name} {cell}",
+                         {f"{n} {cell} b={b} c={c}": ok for n, ok in held.items()}, len(points))
 
 
-def _f_routes_agree(k: int, L: int, b: int, c: int) -> bool:
+def _f_routes(k: int, L: int, b: int, c: int) -> dict[str, bool]:
     fr = ch.f_recursive(k, L, b, c)
-    if ch.f_bosonic(k, L, b, c) != fr or ch.f_fermionic(k, L, b, c) != fr:
-        return False
+    held = {"bosonic": ch.f_bosonic(k, L, b, c) == fr,
+            "fermionic": ch.f_fermionic(k, L, b, c) == fr}
     # the level-lowering sum onto f^(k-1) is defined for k >= 2, b >= 0, c != b + k
-    return k < 2 or b < 0 or c == b + k or ch.f_rank_reduction(k, L, b, c) == fr
+    if k >= 2 and b >= 0 and c != b + k:
+        held["rank-reduction"] = ch.f_rank_reduction(k, L, b, c) == fr
+    return held
 
 
 def boson_fermion(max_k: int, max_L: int):
     """f_bosonic == f_fermionic == f_recursive on every (b, c) of each (k, L),
     and f_rank_reduction == f_recursive wherever it is defined."""
-    return _f_cells("boson-fermion", max_k, range(1, max_L + 1), 0, _f_routes_agree)
+    return _f_cells("boson-fermion", max_k, range(1, max_L + 1), 0, _f_routes)
 
 
-def _f_symmetric(k: int, L: int, b: int, c: int) -> bool:
+def _f_symmetric(k: int, L: int, b: int, c: int) -> dict[str, bool]:
     f = ch.f_recursive(k, L, b, c)
     off_support = abs(b) > L * k or (b - L * k) % 2
-    return not (off_support and f) and f == ch.f_recursive(k, L, -b, -c)
+    return {"support": not (off_support and f), "reflection": f == ch.f_recursive(k, L, -b, -c)}
 
 
 def f_symmetry(max_k: int, max_L: int):
@@ -95,8 +103,8 @@ def path_character(max_k: int, max_L: int):
                                   for j in range(-L * k - 1, L * k + 2)), ZERO)
             bf = sides.pop("path")
             cell = f"s={lam.a0} t={lam.a1} L={L}"
-            failures = tuple(f"{name} {cell}" for name, got in sides.items() if got != bf)
-            yield Check(f"path-character {cell}", not failures, failures)
+            yield _check(f"path-character {cell}",
+                         {f"{name} {cell}": got == bf for name, got in sides.items()})
 
 
 def _vertex_ok(T: EYDTuple, s: int) -> bool:
@@ -139,25 +147,23 @@ def demazure_crystal(max_k: int, max_L: int):
         prev = generate_crystal(lam, 0).vertices
         for L in range(1, max_L + 1):
             full = generate_crystal(lam, L).vertices
-            ok, dirs = True, []
-            for sign in "+-":
-                word = weyl_word(sign, L)
-                dirs.append(set(filter(_width_filter(lam, sign, L), full)))
-                v = extremal_vector(lam, sign, L)
-                ok = (ok and demazure_crystal_recursive(lam, word) == dirs[-1]
-                      and demazure_crystal_direct(lam, sign, L) == dirs[-1]
-                      and v in dirs[-1] and v.weight() == apply_word(word, lam))
-            dir_p, dir_m = dirs
-            ok = ok and dir_p | dir_m == full and dir_p & dir_m == prev
-            if lam.a1 == 0:
-                ok = ok and dir_p == full
-            if lam.a0 == 0:
-                ok = ok and dir_m == full
             cell = f"s={lam.a0} t={lam.a1} L={L}"
+            dirs = {sign: set(filter(_width_filter(lam, sign, L), full)) for sign in "+-"}
+            held = {}
+            for sign, d in dirs.items():
+                word = weyl_word(sign, L)
+                v = extremal_vector(lam, sign, L)
+                held[f"recursive{sign} {cell}"] = demazure_crystal_recursive(lam, word) == d
+                held[f"direct{sign} {cell}"] = demazure_crystal_direct(lam, sign, L) == d
+                held[f"extremal{sign} {cell}"] = v in d and v.weight() == apply_word(word, lam)
+            dir_p, dir_m = dirs.values()
+            held[f"union {cell}"] = dir_p | dir_m == full
+            held[f"intersection {cell}"] = dir_p & dir_m == prev
+            held[f"one-sided {cell}"] = (lam.a1 or dir_p == full) and (lam.a0 or dir_m == full)
             new = full if L == 1 else full - prev
             bad = min((T.key() for T in new if not _vertex_ok(T, lam.a0)), default=None)
-            failures = () if bad is None else (f"vertex {cell} {bad}",)
-            yield Check(f"demazure-crystal {cell}", ok and not failures, failures)
+            held[f"vertex {cell} {bad}"] = bad is None
+            yield _check(f"demazure-crystal {cell}", held)
             prev = full
 
 
@@ -168,29 +174,33 @@ def demazure_character(max_k: int, max_L: int):
         for L in range(1, max_L + 1):
             for sign in ("+", "-"):
                 layer = ch.demazure_ch(lam, sign, L)
-                sides = {"crystal": ch.demazure_ch_bruteforce(lam, sign, L),
-                         "oracle": ch.demazure_ch_oracle(lam, sign, L)}
                 cell = f"s={lam.a0} t={lam.a1} sign={sign} L={L}"
-                failures = tuple(f"{name} {cell}" for name, got in sides.items() if got != layer)
-                yield Check(f"demazure-character {cell}", not failures, failures)
+                yield _check(f"demazure-character {cell}", {
+                    f"crystal {cell}": ch.demazure_ch_bruteforce(lam, sign, L) == layer,
+                    f"oracle {cell}": ch.demazure_ch_oracle(lam, sign, L) == layer})
 
 
 def specializations(max_k: int, max_L: int):
-    """The real specialization for every weight, then the principal one for
-    k Lambda_0."""
+    """The real specialization for every weight against the ``product``
+    form, then the principal one for k Lambda_0 against the ``fermionic``."""
     for lam in weights_up_to(max_k):
         for L in range(1, max_L + 1):
-            yield Check(f"real s={lam.a0} t={lam.a1} L={L}", ch.real_character_check(lam, L))
+            cell = f"s={lam.a0} t={lam.a1} L={L}"
+            yield _check(f"real {cell}", {f"product {cell}": ch.real_character_check(lam, L)})
     for k in range(1, max_k + 1):
         for L in range(1, max_L + 1):
-            yield Check(f"principal k={k} L={L}", ch.principal_character_check(k, L))
+            cell = f"k={k} L={L}"
+            yield _check(f"principal {cell}",
+                         {f"fermionic {cell}": ch.principal_character_check(k, L)})
 
 
 def sanderson(max_k: int, max_L: int):
     """The q^2- and q-multinomial principal forms agree, from L = 0."""
     for k in range(1, max_k + 1):
         for L in range(max_L + 1):
-            yield Check(f"sanderson k={k} L={L}", ch.sanderson_identity_check(k, L))
+            cell = f"k={k} L={L}"
+            yield _check(f"sanderson {cell}",
+                         {f"q-multinomial {cell}": ch.sanderson_identity_check(k, L)})
 
 
 def lemmas(max_k: int, max_L: int):
@@ -199,17 +209,15 @@ def lemmas(max_k: int, max_L: int):
     polynomial lemmas on every (M, N, n) with M, N in -6..8, not both
     negative, and 0 <= n <= 8; one record each."""
     points = [(lam, L) for lam in weights_up_to(max_k) for L in range(max_L + 1)]
-    failures = tuple(
-        f"gse s={lam.a0} t={lam.a1} L={L}"
-        for lam, L in points
-        if ground_state_H_sum(lam, L) != ground_state_H_sum_direct(lam, L)
-    )
-    yield Check("lemmas gse", not failures, failures, len(points))
+    yield _check("lemmas gse", {
+        f"gse s={lam.a0} t={lam.a1} L={L}":
+            ground_state_H_sum(lam, L) == ground_state_H_sum_direct(lam, L)
+        for lam, L in points}, len(points))
     points = [(M, N, n) for M in range(-6, 9) for N in range(-6, 9) if M >= 0 or N >= 0
               for n in range(9)]
-    failures = tuple(f"gaussian-lemma M={M} N={N} n={n}" for M, N, n in points
-                     if not verify_gaussian_lemma(M, N, n))
-    yield Check("lemmas gaussian", not failures, failures, len(points))
+    yield _check("lemmas gaussian", {
+        f"gaussian-lemma M={M} N={N} n={n}": verify_gaussian_lemma(M, N, n) for M, N, n in points
+    }, len(points))
 
 
 SUITES = {

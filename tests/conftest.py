@@ -13,7 +13,7 @@ def run_engine(expected_cases: dict, *suites):
         cases[check.label.split()[0]] += check.cases
         if not check.ok:
             ok = False
-            first_bad = first_bad or (check.failures[0] if check.failures else check.label)
+            first_bad = first_bad or check.failures[0]
     if cases != expected_cases:
         ok = False
         first_bad = first_bad or f"grid {dict(cases)}, expected {expected_cases}"

@@ -26,7 +26,7 @@ from demcrystal.demazure import (
     subgraph,
 )
 from demcrystal.eyd import EYDTuple, ExtendedYoungDiagram
-from demcrystal.qlaurent import ZERO
+from demcrystal.qlaurent import ONE, ZERO
 from demcrystal.verify import weights_up_to
 from demcrystal.weights import Weight, weyl_word
 
@@ -422,27 +422,86 @@ def test_verify_failure_path(monkeypatch, capsys):
                     capsys)
     assert code == 1
     assert out == (
-        "FAIL k=1 L=1 b=-1 c=-2\n"
+        "FAIL bosonic k=1 L=1 b=-1 c=-2\n"
         "boson-fermion k=1 L=1: FAIL\n"
         "suite boson-fermion: FAIL\n"
     )
 
 
-@pytest.mark.parametrize("target, suite, out", [
-    ("f_bosonic", "path-character",
+def test_a_check_is_its_failures():
+    # a record stores no verdict: it passes exactly when it names no failure
+    assert verify.Check._fields == ("label", "failures", "cases")
+    assert verify.Check("cell", (), 1).ok and not verify.Check("cell", ("side cell",), 1).ok
+
+
+def _returns(value):
+    return lambda real: lambda *args: value
+
+
+def _drop_least(real):
+    # the crystal less its key-least vertex
+    def dropped(*args):
+        vertices = real(*args)
+        return vertices - {min(vertices, key=EYDTuple.key)}
+    return dropped
+
+
+def _doubled_right(real):
+    # f(b, c) doubled for b > 0 keeps the support and breaks the reflection
+    return lambda k, L, b, c: real(k, L, b, c) + (real(k, L, b, c) if b > 0 else ZERO)
+
+
+@pytest.mark.parametrize("module, target, stub, suite, out", [
+    (characters, "f_bosonic", _returns(ZERO), "path-character",
      "FAIL bosonic s=0 t=1 L=1\npath-character s=0 t=1 L=1: FAIL\n"
      "FAIL bosonic s=1 t=0 L=1\npath-character s=1 t=0 L=1: FAIL\n"
      "suite path-character: FAIL\n"),
-    ("demazure_ch_oracle", "demazure-character",
+    (characters, "demazure_ch_oracle", _returns(ZERO), "demazure-character",
      "FAIL oracle s=0 t=1 sign=+ L=1\ndemazure-character s=0 t=1 sign=+ L=1: FAIL\n"
      "FAIL oracle s=0 t=1 sign=- L=1\ndemazure-character s=0 t=1 sign=- L=1: FAIL\n"
      "FAIL oracle s=1 t=0 sign=+ L=1\ndemazure-character s=1 t=0 sign=+ L=1: FAIL\n"
      "FAIL oracle s=1 t=0 sign=- L=1\ndemazure-character s=1 t=0 sign=- L=1: FAIL\n"
      "suite demazure-character: FAIL\n"),
-], ids=["bosonic", "oracle"])
-def test_verify_failure_names_the_route(target, suite, out, monkeypatch, capsys):
-    # a FAIL line names the side that differs, a route as --route names it
-    monkeypatch.setattr(characters, target, lambda *args: ZERO)
+    (verify, "demazure_crystal_direct", _drop_least, "demazure-crystal",
+     "FAIL direct+ s=0 t=1 L=1\nFAIL direct- s=0 t=1 L=1\n"
+     "demazure-crystal s=0 t=1 L=1: FAIL\n"
+     "FAIL direct+ s=1 t=0 L=1\nFAIL direct- s=1 t=0 L=1\n"
+     "demazure-crystal s=1 t=0 L=1: FAIL\n"
+     "suite demazure-crystal: FAIL\n"),
+    (verify, "demazure_crystal_recursive", _drop_least, "demazure-crystal",
+     "FAIL recursive+ s=0 t=1 L=1\nFAIL recursive- s=0 t=1 L=1\n"
+     "demazure-crystal s=0 t=1 L=1: FAIL\n"
+     "FAIL recursive+ s=1 t=0 L=1\nFAIL recursive- s=1 t=0 L=1\n"
+     "demazure-crystal s=1 t=0 L=1: FAIL\n"
+     "suite demazure-crystal: FAIL\n"),
+    (characters, "real_character_check", _returns(False), "specializations",
+     "FAIL product s=0 t=1 L=1\nreal s=0 t=1 L=1: FAIL\n"
+     "FAIL product s=1 t=0 L=1\nreal s=1 t=0 L=1: FAIL\n"
+     "principal k=1 L=1: pass\nsuite specializations: FAIL\n"),
+    (characters, "principal_character_check", _returns(False), "specializations",
+     "real s=0 t=1 L=1: pass\nreal s=1 t=0 L=1: pass\n"
+     "FAIL fermionic k=1 L=1\nprincipal k=1 L=1: FAIL\nsuite specializations: FAIL\n"),
+    (characters, "sanderson_identity_check", _returns(False), "sanderson",
+     "FAIL q-multinomial k=1 L=0\nsanderson k=1 L=0: FAIL\n"
+     "FAIL q-multinomial k=1 L=1\nsanderson k=1 L=1: FAIL\n"
+     "suite sanderson: FAIL\n"),
+    (characters, "f_fermionic", _returns(ZERO), "boson-fermion",
+     "FAIL fermionic k=1 L=1 b=-1 c=-2\nboson-fermion k=1 L=1: FAIL\n"
+     "suite boson-fermion: FAIL\n"),
+    (characters, "f_recursive", _returns(ONE), "f-symmetry",
+     "FAIL support k=1 L=0 b=-1 c=-2\nf-symmetry k=1 L=0: FAIL\n"
+     "FAIL support k=1 L=1 b=-2 c=-3\nf-symmetry k=1 L=1: FAIL\n"
+     "suite f-symmetry: FAIL\n"),
+    (characters, "f_recursive", _doubled_right, "f-symmetry",
+     "f-symmetry k=1 L=0: pass\n"
+     "FAIL reflection k=1 L=1 b=-1 c=-2\nf-symmetry k=1 L=1: FAIL\n"
+     "suite f-symmetry: FAIL\n"),
+], ids=["bosonic", "oracle", "direct", "recursive", "real", "principal", "sanderson",
+        "fermionic", "support", "reflection"])
+def test_verify_failure_names_the_route(module, target, stub, suite, out, monkeypatch, capsys):
+    # a FAIL line names the side or condition that fails, a route as --route
+    # names it
+    monkeypatch.setattr(module, target, stub(getattr(module, target)))
     assert run(["verify", "--suite", suite, "--max-k", "1", "--max-L", "1"], capsys) == (1, out)
 
 

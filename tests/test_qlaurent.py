@@ -339,7 +339,7 @@ def test_route_values_reach_wide_digits(monkeypatch):
         reruns.clear()
         points = [(b, c) for b in range(-L * k, L * k + 1) for c in range(b - k, b + k + 1, 2)]
         assert len(points) == count
-        bad = [(b, c) for b, c in points if not verify._f_routes_agree(k, L, b, c)]
+        bad = [(b, c) for b, c in points if not all(verify._f_routes(k, L, b, c).values())]
         assert not bad, (k, L, bad[:3])
         assert 64 in widths and any(reruns), (k, L, widths, sum(reruns))
 
