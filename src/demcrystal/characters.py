@@ -28,7 +28,7 @@ from collections import Counter
 from functools import lru_cache
 
 from .demazure import _widths, demazure_crystal_recursive
-from .paths import enumerate_paths, epsilon_L, path_weight, pi
+from .paths import enumerate_paths, path_weight, pi
 from .qlaurent import (
     ONE,
     ZERO,
@@ -229,7 +229,7 @@ def ch_via_f(lam: Weight, L: int, f_impl=None) -> BivariatePolynomial:
     require_dominant(lam)
     s, t = lam.a0, lam.a1
     k = s + t
-    eL, eL1 = epsilon_L(L), epsilon_L(L + 1)
+    eL, eL1 = L % 2, (L + 1) % 2
     terms = []
     base = eL * (s - t)
     j_lo = -((L * k - base) // 2)
@@ -256,7 +256,7 @@ def F_fermionic(lam: Weight, L: int, j: int) -> BivariatePolynomial:
     k = s + t
     unit = s if L % 2 == 0 else t
     terms = []
-    for full in occupation_vectors(k, L, epsilon_L(L) * (s - t) - 2 * j):
+    for full in occupation_vectors(k, L, L % 2 * (s - t) - 2 * j):
         xs = full[1:k]
         # 4k e = 4 x(kC^{-1})x + 4j(j + t) - 4 (kC^{-1} x)_unit; the unit
         # column vanishes at unit = 0 and unit = k
@@ -295,7 +295,7 @@ def demazure_ch(lam: Weight, sign: str, L: int) -> BivariatePolynomial:
         raise ValueError("sign must be '+' or '-'")
     require_dominant(lam)
     s, t = lam.a0, lam.a1
-    e = epsilon_L(L)
+    e = L % 2
     # layer m is ch_{L-1} at Lambda moved m steps toward k Lambda_1 ("+") or
     # k Lambda_0 ("-"): the "-" sum is the "+" sum with Lambda_0, Lambda_1 swapped
     n, flip = (s, 1) if sign == "+" else (t, -1)
@@ -345,7 +345,7 @@ def real_character_check(lam: Weight, L: int) -> bool:
     s = lam.a0
     k = lam.level
     lhs = demazure_ch(lam, "+", L).subs_q_one_z_to_qinv()
-    e = epsilon_L(L)
+    e = L % 2
     # [a] = 1 + q + ... + q^{a-1} is the Gaussian [a, 1]
     rhs = (gaussian(s + 1, 1) * gaussian(k + 1, 1) ** (L - 1)).q_shift(-((L - e) // 2) * k)
     return lhs == rhs

@@ -287,7 +287,8 @@ class EYDTuple(Frozen):
     def _move(self, index: int, column: int, step: int) -> "EYDTuple":
         """This tuple with one box moved in ``column`` of diagram ``index``:
         step -1 adds it and +1 removes it.  Only the one inequality the move
-        can break is checked (module docstring)."""
+        can break is checked (module docstring), on the two depths ``y``
+        reads in that column."""
         ds = self.diagrams
         # the rule it can break reads upper <= lower + shift in this column
         if step < 0:
@@ -303,10 +304,7 @@ class EYDTuple(Frozen):
             else:
                 lower, shift, message = ds[0], 2, _SHIFTED
         # (a lone diagram meets its old self in the wrap, one apart, and passes)
-        a, b = upper.columns, lower.columns
-        above = a[column] if column < len(a) else upper.charge
-        below = b[column] if column < len(b) else lower.charge
-        if above > below + shift:
+        if upper.y(column) > lower.y(column) + shift:
             raise ValueError(message)
         ds = ds[:index] + (Y,) + ds[index + 1:]
         out = object.__new__(EYDTuple)
@@ -382,29 +380,22 @@ def reduce_signature(bits) -> list[int]:
 _NEGATED_DIAGONAL = itemgetter(0)
 
 
-def _signature(T: EYDTuple, i: int) -> list:
-    """The i-signature from each diagram's memoized entries, in signature
-    order.
+def _unmatched(T: EYDTuple, i: int):
+    """The reduced i-signature: the unmatched convex entries and the
+    unmatched concave entries, each in signature order.
 
-    Sorting the entries by falling diagonal reproduces the (d, j) order of
-    ``i_signature``: diagonals are distinct within one diagram, each
-    diagram's entries are in that order already, and the sort is stable,
-    so entries on one diagonal keep their tuple-position order.
+    The signature is every diagram's memoized entries sorted by falling
+    diagonal, which reproduces the (d, j) order of ``i_signature``:
+    diagonals are distinct within one diagram, each diagram's entries are
+    in that order already, and the sort is stable, so entries on one
+    diagonal keep their tuple-position order.
     """
     entries = []
     for pos, Y in enumerate(T.diagrams):
-        # the memo read inline, saving a method call per diagram
-        per_color = Y._entries.get(pos)
-        entries += (per_color or Y.signature_entries(pos))[i]
+        entries += Y.signature_entries(pos)[i]
     entries.sort(key=_NEGATED_DIAGONAL)
-    return entries
-
-
-def _unmatched(T: EYDTuple, i: int):
-    """The reduced i-signature: the unmatched convex entries and the
-    unmatched concave entries, each in signature order."""
     ones, zeros = [], []
-    for e in _signature(T, i):
+    for e in entries:
         if e[2] == 0:
             zeros.append(e)
         elif zeros:
@@ -415,22 +406,10 @@ def _unmatched(T: EYDTuple, i: int):
 
 
 def f_tilde(i: int, T: EYDTuple):
-    """Add one i-colored box at the leftmost relevant concave corner, or None.
-
-    One pass, keeping of the open concave entries only their count and the
-    first: when the count ends above 0, that first is the leftmost
-    survivor.
-    """
-    # its own pass, not _unmatched's lists: it is hot in generate_crystal
-    depth, first = 0, None
-    for e in _signature(T, i):
-        if e[2] == 0:
-            if not depth:
-                first = e
-            depth += 1
-        elif depth:
-            depth -= 1
-    return T._move(first[1], first[3], -1) if depth else None
+    """Add one i-colored box at the leftmost relevant concave corner, the
+    first unmatched concave entry, or None."""
+    zeros = _unmatched(T, i)[1]
+    return T._move(zeros[0][1], zeros[0][3], -1) if zeros else None
 
 
 def e_tilde(i: int, T: EYDTuple):

@@ -80,11 +80,6 @@ def path_weight(p: tuple[int, ...], lam: Weight) -> tuple[int, int, int]:
     return (a, k - a, -energy(p, lam))
 
 
-def epsilon_L(L: int) -> int:
-    """Parity marker: 0 for even L, 1 for odd L."""
-    return L % 2
-
-
 def ground_state_H_sum(lam: Weight, L: int) -> int:
     """Closed form for the absolute ground-state energy sum."""
     half = (L + 1) // 2
@@ -112,9 +107,9 @@ def pi(T: EYDTuple, L: int) -> tuple[int, ...]:
     """Project a pattern to its path: column j contributes the letter
     counting the diagrams with t_{ij} + j even, so each letter lies in
     0..k by construction.  The letters are the elementwise sum of the
-    diagrams' parity rows (module docstring)."""
-    # the row memo read inline, saving a method call per diagram
-    return tuple(map(sum, zip(*[Y._rows.get(L) or Y.parity_row(L) for Y in T.diagrams])))
+    diagrams' parity rows, each read through ``parity_row`` (module
+    docstring)."""
+    return tuple(map(sum, zip(*[Y.parity_row(L) for Y in T.diagrams])))
 
 
 def _max_column(caps, m: int, parity: int, k: int):

@@ -554,18 +554,13 @@ def verify_gaussian_lemma(M: int, N: int, n: int) -> bool:
     """
     ok = True
     if M >= 0:
-        lhs = pochhammer(M)
-        rhs = ZERO
-        for i in range(M + 1):
-            rhs = rhs + BivariatePolynomial.term(
-                (-1) ** i, ze=i, qe=i * (i - 1) // 2
-            ) * gaussian(M, i)
-        ok = lhs == rhs
+        # the i-th term is (-1)^i z^i q^(i(i-1)/2) [M, i]; odd i go in minus
+        terms = [(gaussian(M, i).z_shift(i), 2 * i * (i - 1)) for i in range(M + 1)]
+        ok = pochhammer(M) == shifted_sum(terms[::2], terms[1::2])
     if M < 0 and N < 0:
         raise ValueError("convolution sum is infinite when both M and N are negative")
     lo = max(0, n - N) if N >= 0 else 0
     hi = min(n, M) if M >= 0 else n
-    rhs2 = ZERO
-    for i in range(lo, hi + 1):
-        rhs2 = rhs2 + qpow((n - i) * (M - i)) * gaussian(M, i) * gaussian(N, n - i)
-    return ok and gaussian(M + N, n) == rhs2
+    rhs = shifted_sum((gaussian(M, i) * gaussian(N, n - i), 4 * (n - i) * (M - i))
+                      for i in range(lo, hi + 1))
+    return ok and gaussian(M + N, n) == rhs

@@ -20,7 +20,7 @@ from .demazure import (
 )
 from .eyd import EYDTuple, e_tilde, f_tilde
 from .paths import ground_state_H_sum, ground_state_H_sum_direct
-from .qlaurent import ZERO, verify_gaussian_lemma
+from .qlaurent import shifted_sum, verify_gaussian_lemma
 from .weights import ALPHA, Weight, apply_word, weyl_word
 
 
@@ -99,8 +99,8 @@ def path_character(max_k: int, max_L: int):
         k = lam.level
         for L in range(1, max_L + 1):
             sides = {name: route(lam, L) for name, (_, path, route) in ch.ROUTES.items() if path}
-            sides["F-sum"] = sum((ch.F_fermionic(lam, L, j).z_shift(-j)
-                                  for j in range(-L * k - 1, L * k + 2)), ZERO)
+            sides["F-sum"] = shifted_sum((ch.F_fermionic(lam, L, j).z_shift(-j), 0)
+                                         for j in range(-L * k - 1, L * k + 2))
             bf = sides.pop("path")
             cell = f"s={lam.a0} t={lam.a1} L={L}"
             yield _check(f"path-character {cell}",

@@ -1,6 +1,8 @@
 """Acceptance suite. Each criterion emits a single pass/fail line in the
 terminal summary and fails the corresponding test on any inexact match.
-Every grid is a ``demcrystal.verify`` suite, walked by ``run_engine``.
+Every grid but one is a ``demcrystal.verify`` suite, walked by
+``run_engine``.  ``test_demazure_character_oracle_level4_grid`` walks its
+own 224 cells; ROADMAP item 13 makes it a suite.
 """
 from conftest import ACCEPTANCE_LINES, run_engine
 from demcrystal import verify

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from demcrystal import eyd
+from demcrystal import demazure, eyd
 from demcrystal.demazure import export_graph, generate_crystal, graph_from_json
 from demcrystal.eyd import (
     CONCAVE,
@@ -226,6 +226,27 @@ def test_string_read_off_one_signature_is_the_f_tilde_chain(lam):
             ), (T.key(), i)
     # the grid reaches strings of three elements or more
     assert longest >= 3
+
+
+def test_f_tilde_reads_the_one_reduction(monkeypatch):
+    # every f_tilde call in a crystal build reduces its signature through
+    # _unmatched once, and the crystal comes out the same
+    lam = Weight(2, 1, 0)
+    expected = generate_crystal(lam, 4)
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(eyd, "_unmatched", counted("_unmatched", eyd._unmatched))
+    monkeypatch.setattr(demazure, "f_tilde", counted("f_tilde", eyd.f_tilde))
+    G = generate_crystal(lam, 4)
+    assert G.vertices == expected.vertices and G.edges == expected.edges
+    assert calls["f_tilde"] > 0
+    assert calls["_unmatched"] == calls["f_tilde"]
 
 
 def test_one_column_check_raises_like_the_full_check():

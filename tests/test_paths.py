@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import pytest
 
 from demcrystal import paths
@@ -6,11 +8,11 @@ from demcrystal.eyd import EYDTuple
 from demcrystal.paths import (
     energy,
     enumerate_paths,
-    epsilon_L,
     from_letters,
     ground_state_H_sum,
     ground_state_H_sum_direct,
     ground_state_path,
+    h_local,
     highest_lift,
     path_weight,
     pi,
@@ -54,10 +56,53 @@ def test_energy_anchor():
     assert ground_state_H_sum_direct(lam, 2) == 4
 
 
-def test_epsilon_L():
-    assert epsilon_L(0) == 0
-    assert epsilon_L(1) == 1
-    assert epsilon_L(2) == 0
+def e_tilde_edges(k: int):
+    """(b, e-tilde_i b, change of H) on B^{1,k} (x) B^{1,k}, with b the pair
+    (left, right) = (m_j, m_{j-1}).  Letter m has phi_0 = m, eps_0 = k - m,
+    phi_1 = k - m and eps_1 = m; e-tilde_0 raises a letter and e-tilde_1
+    lowers it.  By Kashiwara's rule e-tilde_i acts on the left factor when
+    phi_i(left) >= eps_i(right), else on the right; H rises by 1 when
+    e-tilde_0 acts on the left, falls by 1 when it acts on the right, and
+    stays under e-tilde_1."""
+    for left in range(k + 1):
+        for right in range(k + 1):
+            for i, step in ((0, 1), (1, -1)):
+                phi_left, eps_right = (left, k - right) if i == 0 else (k - left, right)
+                if phi_left >= eps_right:
+                    b, dh = (left + step, right), 1 - i
+                else:
+                    b, dh = (left, right + step), i - 1
+                # off 0..k the operator gives 0: eps_i of that letter is 0
+                if 0 <= min(b) and max(b) <= k:
+                    yield (left, right), b, dh
+
+
+def local_energy_from_the_crystal(k: int):
+    """H on the pairs the walk over e-tilde_i and its inverse reaches from
+    H(0 (x) k) = 0, and the pairs it reaches with two values of H."""
+    adjacent = defaultdict(list)
+    for b, c, dh in e_tilde_edges(k):
+        adjacent[b].append((c, dh))
+        adjacent[c].append((b, -dh))
+    H, todo, conflicts = {(0, k): 0}, [(0, k)], []
+    while todo:
+        b = todo.pop()
+        for c, dh in adjacent[b]:
+            if c not in H:
+                H[c] = H[b] + dh
+                todo.append(c)
+            elif H[c] != H[b] + dh:
+                conflicts.append(c)
+    return H, conflicts
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_local_energy_follows_from_the_crystal(k):
+    # the tensor square is connected, the rule is consistent, and
+    # H(m_j (x) m_{j-1}) is h_local(k, m_{j-1}, m_j) at every pair
+    H, conflicts = local_energy_from_the_crystal(k)
+    assert conflicts == []
+    assert H == {(m, m1): h_local(k, m1, m) for m in range(k + 1) for m1 in range(k + 1)}
 
 
 def reference_pi(T, L):

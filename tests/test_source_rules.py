@@ -9,8 +9,10 @@ crystal operator, crystal generator or path weight, and none at all but
 on the pinned building blocks and f_recursive; no room for one on a
 diagram tuple; a route table that matches its hand-written pin; and no
 default argument but a constant, so no function binds a route, or any
-other object, when it is defined."""
+other object, when it is defined; and no function that nothing in src/
+names, but for a shrinking list of test-only ones."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -244,7 +246,7 @@ UNMEMOIZED_ROUTES = (
     "ch_via_f", "ch_path_bruteforce",
     "demazure_ch", "demazure_ch_bruteforce", "demazure_ch_oracle",
     "generate_crystal", "demazure_crystal_recursive", "demazure_crystal_direct", "f_tilde", "e_tilde",
-    "f_string", "_signature", "_unmatched", "epsilon_i", "pi", "energy", "path_weight",
+    "f_string", "_unmatched", "epsilon_i", "pi", "energy", "path_weight",
     "demazure_operator", "demazure_character_oracle",
 )
 MEMO_DECORATORS = ("lru_cache", "cache")
@@ -424,3 +426,72 @@ def test_storage_rule_catches_the_pattern():
     assert instance_storage(Slotted) == TUPLE_STORAGE
     assert instance_storage(Memo) == ["_hash", "_weight", "diagrams"]
     assert instance_storage(Plain) == ["__dict__", "_hash", "diagrams"]
+
+
+# Library code with no caller in the library is test-only code, which
+# belongs in tests/.  So every function defined in src/ is named, as a Name
+# or an attribute, somewhere in src/ outside its own body; an import or a
+# recursive call does not count.  Dunder methods, which Python calls, and
+# the console entry point are exempt.  TEST_ONLY lists the functions that
+# have no caller in src/ today and stay there because perfbench traces them
+# by name; the rule fails when one of them gains a caller or leaves src/,
+# so the list can only shrink.
+ENTRY_POINTS = (("cli.py", "main"),)
+TEST_ONLY = (
+    "graph_from_json", "subgraph", "epsilon_i", "phi_i", "i_signature", "reduce_signature",
+    "highest_lift",
+)
+
+
+def _named(node):
+    """A Name's id or an Attribute's attr, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def uncalled_functions(trees):
+    """(module, line, name) for each function in trees, a dict of module
+    file name -> parsed source, that no Name or attribute outside its own
+    body names; names match by spelling alone, so naming any function of
+    that name counts.  Dunder methods and ENTRY_POINTS are left out."""
+    named = Counter(name for tree in trees.values() for node in ast.walk(tree) if (name := _named(node)))
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("__") and name.endswith("__") or (module, name) in ENTRY_POINTS:
+                continue
+            if named[name] == sum(_named(inner) == name for inner in ast.walk(node)):
+                yield module, node.lineno, name
+
+
+def test_every_function_has_a_caller_in_src():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    found = list(uncalled_functions(trees))
+    assert [f"{module}:{line}: {name} has no caller in src/"
+            for module, line, name in found if name not in TEST_ONLY] == []
+    # each listed name is still defined and still has no caller
+    assert sorted(name for _, _, name in found) == sorted(TEST_ONLY)
+
+
+def test_caller_rule_catches_the_pattern():
+    trees = {
+        "kernel.py": ast.parse(
+            "def walk(n):\n    return walk(n - 1) if n else 0\n"
+            "def step(T):\n    return T\n"
+            "class Tuple:\n"
+            "    def __init__(self):\n        self.check()\n"
+            "    def check(self):\n        pass\n"
+            "    def reference(self):\n        pass\n"
+            "def main():\n    pass\n"
+        ),
+        "cli.py": ast.parse(
+            "from .kernel import step, walk\n"
+            "def main():\n    return step(None)\n"
+            "def run():\n    pass\n"
+        ),
+    }
+    assert sorted(uncalled_functions(trees)) == [
+        ("cli.py", 4, "run"), ("kernel.py", 1, "walk"), ("kernel.py", 10, "reference"),
+        ("kernel.py", 12, "main"),
+    ]
